@@ -1032,7 +1032,7 @@ pub fn prove_all(n: &Netlist, pipeline: &Pipeline, opts: &ProveOptions) -> Vec<P
     )
 }
 
-/// Options for [`random_search`].
+/// Options for [`random_search`] and [`random_search_many`].
 #[derive(Debug, Clone)]
 pub struct RandomSearchOptions {
     /// Steps per random trace.
@@ -1061,41 +1061,70 @@ impl Default for RandomSearchOptions {
 ///
 /// Returns a replayable witness for the first (earliest-time) hit found, or
 /// `None` if all batches stay clean.
+///
+/// This is [`random_search_many`] on the one target `index`: the result is
+/// exactly that engine's entry for it. Searching several targets of one
+/// design? Call [`random_search_many`] once instead — each call here spends
+/// the whole simulation budget again.
 pub fn random_search(
     n: &Netlist,
     index: usize,
     opts: &RandomSearchOptions,
 ) -> Option<(u64, Witness)> {
+    random_search_many(n, &[index], opts).pop().flatten()
+}
+
+/// Random simulation for many targets at once: one shared stimulus stream,
+/// so the budget of `opts` is spent once per design, not once per target.
+///
+/// Every batch of 64 random traces is drawn from one
+/// `SplitMix64::new(opts.seed)` stream and simulated once; each target in
+/// `indices` then keeps its earliest hit — the earliest step, on a tie the
+/// earliest batch, within a batch the lowest lane. That is the hit a
+/// separate [`random_search`] per target would find, so the returned
+/// `(depth, witness)` pairs are identical to the per-target ones, witness
+/// bits included. Once every target holds a step-0 hit nothing can improve
+/// and the remaining batches are drawn but not simulated.
+///
+/// Entry `k` of the result answers target `indices[k]`.
+pub fn random_search_many(
+    n: &Netlist,
+    indices: &[usize],
+    opts: &RandomSearchOptions,
+) -> Vec<Option<(u64, Witness)>> {
     use diam_netlist::sim::{simulate, SplitMix64, Stimulus};
-    let target = n.targets()[index].lit;
+    let targets: Vec<Lit> = indices.iter().map(|&i| n.targets()[i].lit).collect();
     let mut rng = SplitMix64::new(opts.seed);
-    let mut best: Option<(u64, Witness)> = None;
+    let mut best: Vec<Option<(u64, Witness)>> = vec![None; targets.len()];
     for _ in 0..opts.batches {
         let stim = Stimulus::random(n, opts.steps, &mut rng);
+        if best.iter().all(|b| matches!(b, Some((0, _)))) {
+            continue;
+        }
         let trace = simulate(n, &stim);
-        'time: for t in 0..opts.steps {
-            if best.as_ref().is_some_and(|(bt, _)| *bt <= t as u64) {
-                break 'time;
-            }
-            let w = trace.word(target, t);
-            if w != 0 {
-                let lane = w.trailing_zeros();
-                let witness = Witness {
-                    inputs: (0..=t)
-                        .map(|tt| {
-                            (0..n.num_inputs())
-                                .map(|k| (stim.inputs[tt][k] >> lane) & 1 == 1)
-                                .collect()
-                        })
-                        .collect(),
-                    nondet_init: (0..n.num_regs())
-                        .map(|j| (stim.nondet_init[j] >> lane) & 1 == 1)
-                        .collect(),
-                };
-                debug_assert!(witness.replays_to(n, target));
-                best = Some((t as u64, witness));
-                break 'time;
-            }
+        for (slot, &target) in best.iter_mut().zip(&targets) {
+            // Only a strictly earlier step beats a hit from an earlier batch.
+            let horizon = slot.as_ref().map_or(opts.steps, |(t, _)| *t as usize);
+            let Some((t, w)) = (0..horizon)
+                .map(|t| (t, trace.word(target, t)))
+                .find(|&(_, w)| w != 0)
+            else {
+                continue;
+            };
+            let lane = w.trailing_zeros();
+            let witness = Witness {
+                inputs: stim.inputs[..=t]
+                    .iter()
+                    .map(|row| row.iter().map(|&v| (v >> lane) & 1 == 1).collect())
+                    .collect(),
+                nondet_init: stim
+                    .nondet_init
+                    .iter()
+                    .map(|&v| (v >> lane) & 1 == 1)
+                    .collect(),
+            };
+            debug_assert!(witness.replays_to(n, target));
+            *slot = Some((t as u64, witness));
         }
     }
     best

@@ -5,7 +5,11 @@
 //!
 //! For every target, in order:
 //!
-//! 1. **random simulation** — finds shallow counterexamples for free;
+//! 1. **random simulation** — finds shallow counterexamples for free. One
+//!    shared simulation serves every target of the design
+//!    ([`random_search_many`]), so the budget is spent once per design;
+//!    each target's witness is the one a per-target
+//!    [`random_search`](crate::random_search) would return;
 //! 2. **redundancy removal** (COM) — may collapse the target outright and
 //!    yields proven equivalences reused later as induction invariants;
 //! 3. **diameter-complete BMC** through a transformation pipeline
@@ -19,8 +23,8 @@
 //! 6. otherwise the target is reported open, with its bound as diagnosis.
 
 use crate::{
-    check, k_induction_with_invariants, random_search, BmcOptions, BmcOutcome, InductionOutcome,
-    RandomSearchOptions,
+    check, k_induction_with_invariants, random_search_many, BmcOptions, BmcOutcome,
+    InductionOutcome, RandomSearchOptions,
 };
 use diam_core::{Bound, Pipeline, StructuralOptions};
 use diam_netlist::sim::Witness;
@@ -84,7 +88,9 @@ impl std::fmt::Display for Engine {
 /// Options for [`solve_all`].
 #[derive(Debug, Clone)]
 pub struct StrategyOptions {
-    /// Random-simulation budget.
+    /// Random-simulation budget, spent once per design: [`solve_all`] runs
+    /// one [`random_search_many`] over all targets, which returns the same
+    /// witnesses as one [`random_search`](crate::random_search) per target.
     pub random: RandomSearchOptions,
     /// Sweep options (engine 2; its invariants feed engine 4).
     pub sweep: SweepOptions,
@@ -131,11 +137,15 @@ pub fn solve_all(n: &Netlist, opts: &StrategyOptions) -> Vec<TargetStatus> {
     let swept = sweep(n, &opts.sweep);
     let pipelined = opts.pipeline.run(n);
     let bounds = pipelined.bound_targets(&opts.structural);
+    // Engine 1 for every target at once: one shared random simulation.
+    let all: Vec<usize> = (0..n.targets().len()).collect();
+    let hits = random_search_many(n, &all, &opts.random);
 
-    (0..n.targets().len())
-        .map(|i| {
+    hits.into_iter()
+        .enumerate()
+        .map(|(i, hit)| {
             // 1. Random simulation.
-            if let Some((depth, witness)) = random_search(n, i, &opts.random) {
+            if let Some((depth, witness)) = hit {
                 return TargetStatus::Failed {
                     depth,
                     witness,

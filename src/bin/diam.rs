@@ -53,7 +53,7 @@ use diam::netlist::{aiger, Netlist};
 use diam::transform::com::{sweep, SweepOptions};
 use diam::transform::retime::retime;
 use diam_obs::{ObsConfig, ObsMode, RunManifest, Session};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::process::ExitCode;
 
 /// Counting allocator so `--mem on` can attribute heap traffic to spans.
@@ -61,6 +61,44 @@ use std::process::ExitCode;
 /// relaxed atomic load over the system allocator.
 #[global_allocator]
 static ALLOC: diam_obs::alloc::CountingAlloc = diam_obs::alloc::CountingAlloc::new();
+
+/// Why a command stopped before finishing.
+enum CliError {
+    /// A reportable failure: printed as `error: …`, exit status 1.
+    Msg(String),
+    /// The reader closed stdout (`diam bound … | head -1`). Nobody wants
+    /// the rest of the output, so the run ends quietly with exit status 0.
+    BrokenPipe,
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> CliError {
+        CliError::Msg(e)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(e: &str) -> CliError {
+        CliError::Msg(e.to_string())
+    }
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> CliError {
+        match e.kind() {
+            std::io::ErrorKind::BrokenPipe => CliError::BrokenPipe,
+            _ => CliError::Msg(format!("stdout: {e}")),
+        }
+    }
+}
+
+/// `println!` that returns a failed write to the caller as a [`CliError`]
+/// instead of panicking.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*)?
+    };
+}
 
 struct Options {
     pipeline: Pipeline,
@@ -193,10 +231,10 @@ fn load(path: &str) -> Result<Netlist, String> {
     Ok(n)
 }
 
-fn cmd_bound(opts: &Options) -> Result<(), String> {
+fn cmd_bound(opts: &Options) -> Result<(), CliError> {
     let path = opts.files.first().ok_or("missing input file")?;
     let n = load(path)?;
-    println!(
+    outln!(
         "{path}: {} inputs, {} registers, {} ANDs, {} targets; pipeline {}",
         n.num_inputs(),
         n.num_regs(),
@@ -213,14 +251,14 @@ fn cmd_bound(opts: &Options) -> Result<(), String> {
         } else {
             "too large"
         };
-        println!(
+        outln!(
             "  {:<32} d̂(transformed) = {:<10} d̂(original) = {:<10} [{mark}]",
             b.name,
             b.transformed.to_string(),
             b.original.to_string()
         );
     }
-    println!(
+    outln!(
         "{useful}/{} targets below the threshold {}",
         bounds.len(),
         opts.threshold
@@ -234,14 +272,14 @@ fn cmd_bound(opts: &Options) -> Result<(), String> {
                 let t = transformed.netlist.targets()[i].lit;
                 let e =
                     diam::core::structural::explain(&transformed.netlist, t, &opts.structural());
-                println!("\nwhy {} is unboundable:\n{e}", b.name);
+                outln!("\nwhy {} is unboundable:\n{e}", b.name);
             }
         }
     }
     Ok(())
 }
 
-fn cmd_prove(opts: &Options) -> Result<(), String> {
+fn cmd_prove(opts: &Options) -> Result<(), CliError> {
     let path = opts.files.first().ok_or("missing input file")?;
     let n = load(path)?;
     let prove_opts = ProveOptions {
@@ -259,45 +297,45 @@ fn cmd_prove(opts: &Options) -> Result<(), String> {
         match prove(&n, i, &opts.pipeline, &prove_opts) {
             ProveOutcome::Proved { bound } => {
                 proved += 1;
-                println!("  PROVED     {name} (complete BMC to depth {})", bound - 1);
+                outln!("  PROVED     {name} (complete BMC to depth {})", bound - 1);
             }
             ProveOutcome::Counterexample { depth, .. } => {
                 failed += 1;
-                println!("  FAILS      {name} at time {depth}");
+                outln!("  FAILS      {name} at time {depth}");
             }
             ProveOutcome::BoundTooLarge { bound } => {
                 open += 1;
                 match bound {
-                    Some(b) => println!("  OPEN       {name} (bound {b} over the cap)"),
-                    None => println!("  OPEN       {name} (bound exponential)"),
+                    Some(b) => outln!("  OPEN       {name} (bound {b} over the cap)"),
+                    None => outln!("  OPEN       {name} (bound exponential)"),
                 }
             }
             ProveOutcome::Unknown => {
                 open += 1;
-                println!("  OPEN       {name} (SAT budget exhausted)");
+                outln!("  OPEN       {name} (SAT budget exhausted)");
             }
         }
     }
-    println!("\n{proved} proved, {failed} failed, {open} open");
+    outln!("\n{proved} proved, {failed} failed, {open} open");
     Ok(())
 }
 
-fn cmd_stats(opts: &Options) -> Result<(), String> {
+fn cmd_stats(opts: &Options) -> Result<(), CliError> {
     let path = opts.files.first().ok_or("missing input file")?;
     let n = load(path)?;
-    println!("{path}:");
-    println!("{}", diam::netlist::stats::stats(&n));
+    outln!("{path}:");
+    outln!("{}", diam::netlist::stats::stats(&n));
     let regs: Vec<_> = n.regs().to_vec();
     let cl = classify(&n, &regs, &ClassifyOptions::default());
     let counts = cl.counts();
-    println!("register classes (whole netlist): CC;AC;MC+QC;GC = {counts}");
-    println!(
+    outln!("register classes (whole netlist): CC;AC;MC+QC;GC = {counts}");
+    outln!(
         "components: {} ({} memory clusters)",
         cl.cond.comps.len(),
         cl.clusters.len()
     );
     for (k, cluster) in cl.clusters.iter().enumerate() {
-        println!(
+        outln!(
             "  memory {k}: {} cells in {} rows",
             cluster.comps.len(),
             cluster.rows
@@ -306,7 +344,7 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(opts: &Options) -> Result<(), String> {
+fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
     let path = opts.files.first().ok_or("missing input file")?;
     let out_path = opts.files.get(1).ok_or("missing output file")?;
     let n = load(path)?;
@@ -317,7 +355,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
             ..SweepOptions::default()
         },
     );
-    println!(
+    outln!(
         "{path}: {} -> {} registers, {} -> {} ANDs ({} merges, {} refinement rounds)",
         n.num_regs(),
         result.netlist.num_regs(),
@@ -328,37 +366,37 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
     );
     let f = std::fs::File::create(out_path).map_err(|e| format!("{out_path}: {e}"))?;
     aiger::write_ascii(&result.netlist, f).map_err(|e| format!("{out_path}: {e}"))?;
-    println!("wrote {out_path}");
+    outln!("wrote {out_path}");
     Ok(())
 }
 
-fn cmd_retime(opts: &Options) -> Result<(), String> {
+fn cmd_retime(opts: &Options) -> Result<(), CliError> {
     let path = opts.files.first().ok_or("missing input file")?;
     let mut n = load(path)?;
     diam::netlist::rebuild::explicit_nondet_init(&mut n);
     let ret = retime(&n).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{path}: {} -> {} registers; {} stump inputs created",
         ret.regs_before,
         ret.regs_after,
         ret.stump_inputs.len()
     );
     for t in n.targets() {
-        println!(
+        outln!(
             "  target {:<28} lag {} (bounds back-translate as d̂ + {})",
             t.name,
             -(ret.lag[t.lit.gate().index()]),
             ret.skew(t.lit.gate())
         );
     }
-    println!(
+    outln!(
         "(the retimed netlist uses functional initial values and therefore \
          cannot be written to AIGER; use the library API to analyze it)"
     );
     Ok(())
 }
 
-fn cmd_solve(opts: &Options) -> Result<(), String> {
+fn cmd_solve(opts: &Options) -> Result<(), CliError> {
     use diam::bmc::strategy::{solve_all, StrategyOptions, TargetStatus};
     let path = opts.files.first().ok_or("missing input file")?;
     let n = load(path)?;
@@ -378,22 +416,22 @@ fn cmd_solve(opts: &Options) -> Result<(), String> {
         match status {
             TargetStatus::Proved { by } => {
                 proved += 1;
-                println!("  PROVED {:<32} by {by}", t.name);
+                outln!("  PROVED {:<32} by {by}", t.name);
             }
             TargetStatus::Failed { depth, by, .. } => {
                 failed += 1;
-                println!("  FAILS  {:<32} at time {depth} (found by {by})", t.name);
+                outln!("  FAILS  {:<32} at time {depth} (found by {by})", t.name);
             }
             TargetStatus::Open { bound } => {
                 open += 1;
                 match bound {
-                    Some(b) => println!("  OPEN   {:<32} (diameter bound {b})", t.name),
-                    None => println!("  OPEN   {:<32} (diameter bound exponential)", t.name),
+                    Some(b) => outln!("  OPEN   {:<32} (diameter bound {b})", t.name),
+                    None => outln!("  OPEN   {:<32} (diameter bound exponential)", t.name),
                 }
             }
         }
     }
-    println!("\n{proved} proved, {failed} failed, {open} open");
+    outln!("\n{proved} proved, {failed} failed, {open} open");
     Ok(())
 }
 
@@ -426,12 +464,12 @@ fn install_session(cmd: &str, opts: &Options) -> Session {
 /// appends a single-run baseline to the `.diam/history` store so
 /// `diam-trace history` can track CLI runs alongside `benchreport` ones.
 /// History is best-effort — a read-only checkout never fails the run.
-fn finish_session(opts: &Options, session: Session) {
+fn finish_session(opts: &Options, session: Session) -> Result<(), CliError> {
     let report = session.finish();
     if opts.obs.mode.is_off() {
-        return;
+        return Ok(());
     }
-    println!("\n{}", report.render_summary());
+    outln!("\n{}", report.render_summary());
     match diam_trace::Trace::parse(&report.to_jsonl()) {
         Ok(trace) if !trace.spans.is_empty() => {
             let store = diam_trace::History::default_root();
@@ -449,6 +487,7 @@ fn finish_session(opts: &Options, session: Session) {
         }
         _ => {}
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -472,12 +511,12 @@ fn main() -> ExitCode {
         "sweep" => cmd_sweep(&opts),
         "retime" => cmd_retime(&opts),
         "solve" => cmd_solve(&opts),
-        other => Err(format!("unknown command {other}")),
+        other => Err(CliError::Msg(format!("unknown command {other}"))),
     };
-    finish_session(&opts, session);
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    let finished = finish_session(&opts, session);
+    match result.and(finished) {
+        Ok(()) | Err(CliError::BrokenPipe) => ExitCode::SUCCESS,
+        Err(CliError::Msg(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }

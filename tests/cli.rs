@@ -1,8 +1,9 @@
 //! Smoke tests for the `diam` command-line tool, driven through the real
 //! binary (`CARGO_BIN_EXE_diam`).
 
-use std::io::Write;
-use std::process::Command;
+use std::io::{BufRead, BufReader, Write};
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
 
 fn fixture(dir: &std::path::Path, name: &str, text: &str) -> std::path::PathBuf {
     let path = dir.join(name);
@@ -126,4 +127,89 @@ fn bad_arguments_fail_cleanly() {
     assert!(out.contains("error"), "{out}");
     let (_, ok) = run(&["bound", "/nonexistent.aag"]);
     assert!(!ok);
+}
+
+/// Writes the generated suite design `name` (generator seed 101) to a temp
+/// `.aag` file.
+fn suite_design(profiles: Vec<diam::gen::profile::DesignProfile>, name: &str) -> PathBuf {
+    let profile = profiles
+        .into_iter()
+        .find(|p| p.name == name)
+        .expect("suite design");
+    let n = diam::gen::profile::build(&profile, 101);
+    let path = std::env::temp_dir().join(format!("diam_cli_suite_{name}.aag"));
+    let f = std::fs::File::create(&path).expect("fixture");
+    diam::netlist::aiger::write_ascii(&n, f).expect("fixture");
+    path
+}
+
+/// The full `diam solve` stdout of one iscas and one gp suite design, byte
+/// for byte. The goldens were captured with the per-target random search
+/// that preceded the shared simulation, so they pin every verdict, depth and
+/// engine credit across that change.
+#[test]
+fn solve_output_matches_golden_on_suite_designs() {
+    for (path, golden) in [
+        (
+            suite_design(diam::gen::iscas::profiles(), "S953"),
+            include_str!("fixtures/solve_s953.txt"),
+        ),
+        (
+            suite_design(diam::gen::gp::profiles(), "W_SFA"),
+            include_str!("fixtures/solve_w_sfa.txt"),
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_diam"))
+            .args(["solve", path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            golden,
+            "{}",
+            path.display()
+        );
+    }
+}
+
+/// A reader that stops after one line (`diam bound many.aag | head -1`)
+/// ends the run quietly: exit status 0, no panic text, no crash dump.
+#[test]
+fn closed_stdout_exits_quietly() {
+    let dir = std::env::temp_dir();
+    let mut aag = String::from("aag 2 1 1 3000 0\n2\n4 2\n");
+    for k in 0..3000 {
+        aag.push_str(if k % 2 == 0 { "2\n" } else { "4\n" });
+    }
+    let f = fixture(&dir, "diam_cli_many_targets.aag", &aag);
+    let crash_dir = dir.join(format!("diam_cli_epipe_crash_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&crash_dir);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_diam"))
+        .args(["bound", f.to_str().unwrap()])
+        .env("DIAM_CRASH_DIR", &crash_dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .expect("one line");
+    assert!(first.contains("3000 targets"), "{first}");
+    // Dropping the reader closed the pipe; the rest of the output (far more
+    // than a pipe buffer) now fails to write.
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "{stderr}");
+    assert!(
+        !crash_dir.exists(),
+        "crash dump written to {}",
+        crash_dir.display()
+    );
 }
