@@ -676,10 +676,11 @@ impl Pass for RetimePass {
                 init_inputs,
             },
         };
-        Some(
-            PassOutcome::new(n, ret.netlist, cert)
-                .with_details(vec![("regs_removed", regs_removed)]),
-        )
+        Some(PassOutcome::new(n, ret.netlist, cert).with_details(vec![
+            ("regs_removed", regs_removed),
+            ("flow_phases", ret.flow.phases),
+            ("flow_augments", ret.flow.augments),
+        ]))
     }
 }
 
@@ -908,6 +909,16 @@ mod tests {
         let out = RetimePass.apply(&n).expect("pipeline retimes");
         assert_eq!(out.netlist.num_regs(), 0, "all registers retire");
         assert_eq!(out.cert.bound_steps(0), &[BoundStep::Add(3)]);
+        // One unit of supply along one path of cost 3: one Dijkstra phase,
+        // one augmentation.
+        assert_eq!(
+            out.details,
+            [
+                ("regs_removed", 3),
+                ("flow_phases", 1),
+                ("flow_augments", 1)
+            ]
+        );
         let t_new = out.netlist.targets()[0].lit;
         let w = find_witness(&out.netlist, t_new, 0).expect("combinational hit");
         let lifted = out.cert.lift(0, &w).expect("lift succeeds");

@@ -24,7 +24,7 @@
 //! is exactly the premise of Theorem 2: a diameter bound `d̂` on a retimed
 //! target with lag `r` yields the bound `d̂ + (−r)` on the original target.
 
-use crate::flow::MinCostFlow;
+use crate::flow::{FlowStats, MinCostFlow};
 use diam_netlist::{Gate, GateKind, Init, Lit, Netlist};
 use std::collections::HashMap;
 use std::fmt;
@@ -36,7 +36,9 @@ pub enum RetimeError {
     /// Normalize with [`diam_netlist::rebuild::explicit_nondet_init`] and
     /// keep reset logic out of the netlist before retiming.
     ComplexInitCone { reg: Gate },
-    /// The retiming LP was infeasible (indicates a malformed netlist).
+    /// The retiming LP was infeasible, or its lags failed the feasibility
+    /// check (a negative retimed edge weight or a zero-weight cycle); either
+    /// indicates a malformed netlist.
     Infeasible,
 }
 
@@ -71,6 +73,8 @@ pub struct RetimedNetlist {
     pub regs_before: usize,
     /// Registers in the retimed netlist.
     pub regs_after: usize,
+    /// Min-cost-flow work, summed over the retiming graph's components.
+    pub flow: FlowStats,
 }
 
 impl RetimedNetlist {
@@ -92,7 +96,8 @@ impl RetimedNetlist {
 ///
 /// Fails with [`RetimeError::ComplexInitCone`] if a register initial value
 /// is a function of anything but a single input literal, or
-/// [`RetimeError::Infeasible`] if the LP cannot be solved (malformed input).
+/// [`RetimeError::Infeasible`] if the LP cannot be solved or its lags do not
+/// yield a well-formed retimed netlist (malformed input).
 ///
 /// # Examples
 ///
@@ -183,31 +188,37 @@ pub fn retime(n: &Netlist) -> Result<RetimedNetlist, RetimeError> {
             comps.push(comp);
         }
     }
+    // Bucket edges by component in local indices (a vertex's local index is
+    // its position in its component's BFS order).
+    let mut local_of = vec![0usize; num];
+    for comp in &comps {
+        for (i, &v) in comp.iter().enumerate() {
+            local_of[v] = i;
+        }
+    }
+    let mut comp_edges: Vec<Vec<(usize, usize, i64)>> = vec![Vec::new(); comps.len()];
+    for &(u, v, w) in &edges {
+        comp_edges[comp_of[u]].push((local_of[u], local_of[v], w));
+    }
     let mut lag = vec![0i64; num];
-    for (id, comp) in comps.iter().enumerate() {
+    let mut flow = FlowStats::default();
+    for (comp, local_edges) in comps.iter().zip(&comp_edges) {
         if comp.len() <= 1 {
             continue;
         }
-        let mut local_of = std::collections::HashMap::new();
-        for (i, &v) in comp.iter().enumerate() {
-            local_of.insert(v, i);
-        }
-        let local_edges: Vec<(usize, usize, i64)> = edges
-            .iter()
-            .filter(|&&(u, _, _)| comp_of[u] == id)
-            .map(|&(u, v, w)| (local_of[&u], local_of[&v], w))
-            .collect();
         let mut supplies = vec![0i64; comp.len()];
-        for &(u, v, _) in &local_edges {
+        for &(u, v, _) in local_edges {
             supplies[v] -= 1;
             supplies[u] += 1;
         }
         let mut net = MinCostFlow::new(comp.len());
         let cap = (local_edges.len() as i64 + n.num_regs() as i64 + 2) * 4;
-        for &(u, v, w) in &local_edges {
+        for &(u, v, w) in local_edges {
             net.add_edge(u, v, cap, w);
         }
         net.solve(&supplies).map_err(|_| RetimeError::Infeasible)?;
+        flow.phases += net.stats().phases;
+        flow.augments += net.stats().augments;
         let pot = net.valid_potentials();
         // Normalize per component (Definition 5).
         let max_pot = pot.iter().copied().map(|p| -p).max().unwrap_or(0);
@@ -215,10 +226,7 @@ pub fn retime(n: &Netlist) -> Result<RetimedNetlist, RetimeError> {
             lag[v] = -pot[i] - max_pot;
         }
     }
-    // Feasibility sanity check.
-    for &(u, v, w) in &edges {
-        debug_assert!(lag[u] - lag[v] <= w, "retiming constraint violated");
-    }
+    let order = retimed_order(num, &edges, &lag)?;
     let skew = |g: Gate| -> u64 { (-lag[g.index()]) as u64 };
 
     // --- build the retimed netlist -------------------------------------------
@@ -229,31 +237,6 @@ pub fn retime(n: &Netlist) -> Result<RetimedNetlist, RetimeError> {
         let g = out.input(n.name(i).unwrap_or("in").to_string());
         map[i.index()] = Some(g.lit());
     }
-
-    // Topological order over edges whose *new* weight is zero.
-    let new_weight = |(u, v, w): (usize, usize, i64)| -> i64 { w + lag[v] - lag[u] };
-    let mut indeg0 = vec![0usize; num];
-    let mut succs0: Vec<Vec<usize>> = vec![Vec::new(); num];
-    for &e in &edges {
-        if new_weight(e) == 0 {
-            let (u, v, _) = e;
-            indeg0[v] += 1;
-            succs0[u].push(v);
-        }
-    }
-    let mut order: Vec<usize> = (0..num).filter(|&v| indeg0[v] == 0).collect();
-    let mut head = 0;
-    while head < order.len() {
-        let v = order[head];
-        head += 1;
-        for &w in &succs0[v] {
-            indeg0[w] -= 1;
-            if indeg0[w] == 0 {
-                order.push(w);
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), num, "zero-weight retimed edges form a cycle");
 
     // Register chains per source vertex: chains[src] = registers delaying
     // the plain value of src by 1, 2, … (created on demand, next-functions
@@ -408,7 +391,52 @@ pub fn retime(n: &Netlist) -> Result<RetimedNetlist, RetimeError> {
         stump_inputs,
         regs_before: n.num_regs(),
         regs_after,
+        flow,
     })
+}
+
+/// Checks the lags against the retiming constraints and returns the
+/// build order of the retimed netlist: a topological order of the vertices
+/// over edges whose retimed weight `w + r(head) − r(tail)` is zero.
+///
+/// Fails with [`RetimeError::Infeasible`] if some edge gets a negative
+/// retimed weight (`r(u) − r(v) > w`) or the zero-weight edges form a cycle;
+/// either would make the retimed netlist unsound, so release builds check
+/// both.
+fn retimed_order(
+    num: usize,
+    edges: &[(usize, usize, i64)],
+    lag: &[i64],
+) -> Result<Vec<usize>, RetimeError> {
+    let mut indeg0 = vec![0usize; num];
+    let mut succs0: Vec<Vec<usize>> = vec![Vec::new(); num];
+    for &(u, v, w) in edges {
+        match w + lag[v] - lag[u] {
+            0 => {
+                indeg0[v] += 1;
+                succs0[u].push(v);
+            }
+            w_r if w_r < 0 => return Err(RetimeError::Infeasible),
+            _ => {}
+        }
+    }
+    let mut order: Vec<usize> = (0..num).filter(|&v| indeg0[v] == 0).collect();
+    let mut head = 0;
+    while head < order.len() {
+        let v = order[head];
+        head += 1;
+        for &w in &succs0[v] {
+            indeg0[w] -= 1;
+            if indeg0[w] == 0 {
+                order.push(w);
+            }
+        }
+    }
+    if order.len() == num {
+        Ok(order)
+    } else {
+        Err(RetimeError::Infeasible)
+    }
 }
 
 /// The initial value of the dedicated extra register standing in for the
@@ -686,6 +714,27 @@ mod tests {
         let ret = retime(&n).unwrap();
         ret.netlist.validate().unwrap();
         check_correspondence(&n, &ret, 10, 17);
+    }
+
+    /// The release-mode lag checks: a lag vector that gives an edge a
+    /// negative retimed weight, or leaves a zero-weight cycle, is refused.
+    #[test]
+    fn retimed_order_rejects_bad_lags() {
+        // 0 → 1 → 2 with one register on 1 → 2, and a register loop 2 → 1.
+        let edges = [(0, 1, 0), (1, 2, 1), (2, 1, 1)];
+        assert_eq!(retimed_order(3, &edges, &[0, 0, 0]), Ok(vec![0, 2, 1]));
+        assert_eq!(retimed_order(3, &edges, &[0, 0, -1]), Ok(vec![0, 1, 2]));
+        // r(0) − r(1) = 1 > w(0 → 1) = 0.
+        assert_eq!(
+            retimed_order(3, &edges, &[0, -1, -1]),
+            Err(RetimeError::Infeasible)
+        );
+        // A zero-weight loop 1 → 2 → 1 admits no build order.
+        let loop0 = [(0, 1, 0), (1, 2, 0), (2, 1, 0)];
+        assert_eq!(
+            retimed_order(3, &loop0, &[0, 0, 0]),
+            Err(RetimeError::Infeasible)
+        );
     }
 
     #[test]
