@@ -32,6 +32,7 @@
 //!   witness is returned may vary.
 
 use crate::{extract_witness, solve_traced, BmcOptions};
+use diam_netlist::sim::Witness;
 use diam_netlist::{GateKind, Lit, Netlist};
 use diam_par::{CancelToken, Exchange};
 use diam_sat::{Lit as SatLit, SolveResult, Solver};
@@ -105,18 +106,6 @@ impl Default for CubeOptions {
 /// Glue tier that travels between cube workers (the arena's core tier).
 const SHARE_LBD: u32 = 2;
 
-/// Outcome of one depth solved by cube split (or monolithically when the
-/// split is not applicable).
-pub(crate) enum CubeDepthOutcome {
-    /// Some cube is satisfiable; the winning worker's solver holds the
-    /// model (extract a witness with the shared unroller).
-    Sat(Box<Solver>),
-    /// Every cube is unsatisfiable: the depth is clean.
-    Unsat,
-    /// A conflict budget expired in some cube and no cube was SAT.
-    Unknown,
-}
-
 /// Per-cube job result, merged in cube-index order.
 enum CubeJob {
     Sat(Box<Solver>),
@@ -184,14 +173,16 @@ fn select_cube_lits(
     lits
 }
 
-/// Solves the depth-`depth` obligation of `target` by cube-and-conquer.
+/// Solves the depth-`depth` obligation of `target` by cube-and-conquer:
+/// every cube UNSAT is `Unsat`, a SAT cube is `Sat` with the witness from
+/// the winning worker's model, and otherwise the depth is `Unknown`.
 ///
 /// The base incremental `solver`/`unroller` pair is mutated only by
 /// encoding (the obligation literal and the cube frame); the search runs on
 /// per-cube clones, so the base solver's clause database is untouched and
-/// the caller's incremental loop continues as if a monolithic solve had
-/// returned. `parent` chains the cube group under the caller's cancellation
-/// scope: cancelling the parent cancels every outstanding cube.
+/// the caller's depth loop continues as if a monolithic solve had returned.
+/// `parent` chains the cube group under the caller's cancellation scope:
+/// cancelling the parent cancels every outstanding cube.
 pub(crate) fn solve_depth_cubes(
     n: &Netlist,
     solver: &mut Solver,
@@ -200,16 +191,15 @@ pub(crate) fn solve_depth_cubes(
     depth: u64,
     parent: Option<&CancelToken>,
     opts: &BmcOptions,
-) -> CubeDepthOutcome {
+) -> (SolveResult, Option<Witness>) {
     let obligation = unroller.lit_at(solver, target, depth as usize);
     let cube_lits = select_cube_lits(n, solver, unroller, target, depth, opts.cube.vars);
     if cube_lits.is_empty() {
         // No state variables to split on: monolithic fallback.
-        return match solve_traced(solver, &[obligation], depth) {
-            SolveResult::Sat => CubeDepthOutcome::Sat(Box::new(solver.clone())),
-            SolveResult::Unsat => CubeDepthOutcome::Unsat,
-            SolveResult::Unknown => CubeDepthOutcome::Unknown,
-        };
+        let r = solve_traced(solver, &[obligation], depth);
+        let w =
+            (r == SolveResult::Sat).then(|| extract_witness(n, unroller, solver, depth as usize));
+        return (r, w);
     }
     let k = cube_lits.len() as u32;
     let ncubes = 1usize << k;
@@ -326,35 +316,15 @@ pub(crate) fn solve_depth_cubes(
         solver.mark_cube_refuted();
     }
     sp.record("refuted", refuted);
-    if let Some(s) = sat {
+    if let Some(winner) = sat {
         sp.record("outcome", "sat");
-        CubeDepthOutcome::Sat(s)
+        let witness = extract_witness(n, unroller, &winner, depth as usize);
+        (SolveResult::Sat, Some(witness))
     } else if unknown {
         sp.record("outcome", "unknown");
-        CubeDepthOutcome::Unknown
+        (SolveResult::Unknown, None)
     } else {
         sp.record("outcome", "unsat");
-        CubeDepthOutcome::Unsat
-    }
-}
-
-/// Convenience wrapper used by the BMC depth loops: solve depth `depth`,
-/// producing a witness on SAT.
-pub(crate) fn solve_depth_with_witness(
-    n: &Netlist,
-    solver: &mut Solver,
-    unroller: &mut Unroller<'_>,
-    target: Lit,
-    depth: u64,
-    parent: Option<&CancelToken>,
-    opts: &BmcOptions,
-) -> (SolveResult, Option<diam_netlist::sim::Witness>) {
-    match solve_depth_cubes(n, solver, unroller, target, depth, parent, opts) {
-        CubeDepthOutcome::Sat(winner) => {
-            let witness = extract_witness(n, unroller, &winner, depth as usize);
-            (SolveResult::Sat, Some(witness))
-        }
-        CubeDepthOutcome::Unsat => (SolveResult::Unsat, None),
-        CubeDepthOutcome::Unknown => (SolveResult::Unknown, None),
+        (SolveResult::Unsat, None)
     }
 }

@@ -4,14 +4,22 @@
 //! that motivates the whole project: a BMC run whose depth reaches the
 //! design's diameter bound is a **proof** (Section 1 of the paper).
 //!
-//! * [`check`] — incremental SAT-based BMC with counterexample extraction
-//!   (witnesses are replay-validated against the cycle-accurate simulator);
+//! * [`check`] — incremental SAT-based BMC with counterexample extraction;
+//! * [`check_all`] — BMC on every target, one cone-sliced job per target,
+//!   bit-identical at every [`Parallelism`] setting;
 //! * [`k_induction`] — the classic strengthening, provided as an
 //!   independent proof engine;
-//! * [`prove`] — diameter-bounded BMC: computes `d̂(t)` through a
-//!   transformation [`Pipeline`], runs BMC to depth
+//! * [`prove`] / [`prove_all`] — diameter-bounded BMC: computes `d̂(t)`
+//!   through a transformation [`Pipeline`], runs BMC to depth
 //!   `d̂(t) − 1`, and returns `Proved` when no hit exists — a complete
 //!   check.
+//!
+//! Every one of these runs its bounded search through one private depth
+//! loop: one target, one netlist (the original or a cone slice), depths
+//! `lo..=hi`, one fresh incremental solver. Each counterexample it returns
+//! has been replayed on the caller's netlist, in release builds too; a
+//! witness that fails the replay becomes `Unknown` and emits a
+//! `verdict.replay_failed` event.
 //!
 //! ## Example
 //!
@@ -43,7 +51,7 @@ pub use cube::{CubeMode, CubeOptions};
 use diam_core::{Bound, Pipeline, StructuralOptions};
 use diam_netlist::rebuild::{slice_target, Rebuilt};
 use diam_netlist::sim::Witness;
-use diam_netlist::{GateKind, Init, Lit, Netlist};
+use diam_netlist::{Init, Lit, Netlist};
 use diam_par::{CancelToken, Frontier, Parallelism};
 use diam_sat::{Lit as SatLit, SolveResult, Solver};
 use diam_transform::unroll::{FrameZero, Unroller};
@@ -124,22 +132,18 @@ fn solve_depth(
     opts: &BmcOptions,
 ) -> (SolveResult, Option<Witness>) {
     if cube::applicable(opts, depth) {
-        return cube::solve_depth_with_witness(n, solver, unroller, target, depth, token, opts);
+        return cube::solve_depth_cubes(n, solver, unroller, target, depth, token, opts);
     }
     let lit = unroller.lit_at(solver, target, depth as usize);
     let r = solve_traced(solver, &[lit], depth);
-    let w = if r == SolveResult::Sat {
-        Some(extract_witness(n, unroller, solver, depth as usize))
-    } else {
-        None
-    };
+    let w = (r == SolveResult::Sat).then(|| extract_witness(n, unroller, solver, depth as usize));
     (r, w)
 }
 
 /// Crash-forensics smoke hook: `DIAM_FORCE_PANIC=<depth>` makes every BMC
 /// engine panic when it is about to solve that depth, exercising the
 /// panic-hook → crash-dump → `diam-trace postmortem` pipeline end to end
-/// (both the shared sweep and the cone-sliced workers route through this).
+/// (every BMC obligation runs through the one depth loop that checks this).
 /// Parsed once; unset or unparsable values disable the hook.
 fn forced_panic_depth() -> Option<u64> {
     static DEPTH: OnceLock<Option<u64>> = OnceLock::new();
@@ -164,23 +168,20 @@ pub struct BmcOptions {
     pub max_depth: u64,
     /// SAT conflict budget per depth (`None` = unlimited).
     pub conflict_budget: Option<u64>,
-    /// Worker threads for [`check_all`]'s per-target-cone fan-out.
-    ///
-    /// With [`Parallelism::Sequential`] (the default) and `depth_chunk == 0`
-    /// the classic shared-unroller sweep runs (one time-frame encoding for
-    /// all targets); any other setting switches to independent cone-sliced
-    /// jobs, each owning a fresh solver. Outcomes are merged in original
-    /// target order either way.
+    /// Worker threads for [`check_all`]'s per-target-cone fan-out and for
+    /// the cube layer's per-depth cube jobs. Every job owns a fresh solver
+    /// and outcomes merge in original target order, so [`check_all`]'s
+    /// output (witnesses included) is bit-identical at every setting.
     pub parallelism: Parallelism,
-    /// Splits each target's depth range `0..=max_depth` into work units of
-    /// this many depths (0 = one unit per target). Only meaningful for the
-    /// cone-sliced [`check_all`] path; a unit that learns — via a shared
-    /// per-target frontier — that a strictly shallower unit already hit (or
-    /// gave up) stops early without changing the merged outcome.
+    /// Splits each target's depth range `0..=max_depth` into [`check_all`]
+    /// work units of this many depths (0 = one unit per target). A unit that
+    /// learns — via a shared per-target frontier — that a strictly shallower
+    /// unit already hit (or gave up) stops early without changing the merged
+    /// outcome. Each unit starts its own solver, so hit depths never depend
+    /// on the chunk size, while the witness for a hit may.
     pub depth_chunk: u64,
-    /// Diagnostic: counts individual SAT `solve` calls made by the
-    /// cone-sliced path (used by tests to observe early cancellation).
-    /// Setting this forces the cone-sliced path.
+    /// Diagnostic: counts the depths [`check_all`] hands to the solver (used
+    /// by tests to observe early cancellation).
     pub solve_probe: Option<Arc<AtomicUsize>>,
     /// Cube-and-conquer splitting of deep per-depth obligations; see
     /// [`cube::CubeOptions`]. Off by default.
@@ -220,7 +221,8 @@ pub enum BmcOutcome {
     },
     /// No hit up to and including `max_depth`.
     NoHitUpTo(u64),
-    /// A SAT budget expired at this depth.
+    /// A SAT budget expired at this depth (or a witness failed its replay
+    /// check there).
     Unknown {
         /// Depth at which the budget expired.
         depth: u64,
@@ -233,238 +235,20 @@ pub enum BmcOutcome {
 ///
 /// Panics if `index` is out of range.
 pub fn check(n: &Netlist, index: usize, opts: &BmcOptions) -> BmcOutcome {
-    let mut sp = diam_obs::span!("bmc.check", index = index, max_depth = opts.max_depth);
-    let target = n.targets()[index].lit;
-    let mut solver = new_solver(opts);
-    let mut unroller = Unroller::new(n, FrameZero::Init);
-    for depth in 0..=opts.max_depth {
-        maybe_force_panic(depth);
-        match solve_depth(n, &mut solver, &mut unroller, target, depth, None, opts) {
-            (SolveResult::Sat, witness) => {
-                let witness = witness.expect("SAT verdicts carry a witness");
-                debug_assert!(
-                    witness.replays_to(n, target),
-                    "witness fails to replay at depth {depth}"
-                );
-                sp.record("outcome", "cex");
-                sp.record("depth", depth);
-                return BmcOutcome::Counterexample { depth, witness };
-            }
-            (SolveResult::Unsat, _) => {
-                // Natural level-0 boundary: this depth is clean, the next
-                // frame is about to be encoded — let the solver clean up
-                // (root-fact simplification + arena GC, both self-gated).
-                inprocess_traced(&mut solver);
-                continue;
-            }
-            (SolveResult::Unknown, _) => {
-                sp.record("outcome", "unknown");
-                sp.record("depth", depth);
-                return BmcOutcome::Unknown { depth };
-            }
-        }
-    }
-    sp.record("outcome", "clean");
-    BmcOutcome::NoHitUpTo(opts.max_depth)
+    depth_loop(n, index, None, (0, opts.max_depth), None, opts, |_| true).into_bmc(opts.max_depth)
 }
 
 /// Runs BMC on *every* target.
 ///
-/// With the default options ([`Parallelism::Sequential`], `depth_chunk == 0`)
-/// this is the classic shared-unroller sweep: the time-frame encoding is
-/// reused across targets, so checking all outputs of a design (the paper's
-/// experimental setup) costs one unrolling instead of `|T|`.
-///
-/// Any other setting slices each target's cone of influence into an
-/// independent job (fresh solver, no shared state), optionally splits each
-/// target's depth range into [`BmcOptions::depth_chunk`]-sized work units,
-/// and fans the units out across [`BmcOptions::parallelism`] workers,
-/// largest cone first. Witnesses found on a slice are lifted back to the
-/// original netlist's inputs. Per-target outcomes (hit depth / no-hit /
-/// unknown) are merged in original target order and agree with the
-/// sequential sweep; the two encodings may produce different — always
-/// replay-valid — witness traces for the same hit, while the cone-sliced
-/// path itself is bit-identical across all parallelism settings.
+/// Each target's cone of influence is sliced into an independent job (fresh
+/// solver, no shared state), each target's depth range is optionally split
+/// into [`BmcOptions::depth_chunk`]-sized work units, and the units fan out
+/// across [`BmcOptions::parallelism`] workers, largest cone first. Witnesses
+/// found on a slice are lifted back to the original netlist's inputs.
+/// Per-target outcomes are merged in original target order; because the
+/// same job code runs in every mode, the output (witnesses included) is
+/// bit-identical at every `Parallelism` setting.
 pub fn check_all(n: &Netlist, opts: &BmcOptions) -> Vec<BmcOutcome> {
-    if matches!(opts.parallelism, Parallelism::Sequential)
-        && opts.depth_chunk == 0
-        && opts.solve_probe.is_none()
-    {
-        return check_all_shared(n, opts);
-    }
-    check_all_sliced(n, opts)
-}
-
-/// Runs BMC on every target *through* a transformation pipeline: the search
-/// happens on the transformed (smaller, shallower) netlist, and every
-/// verdict is carried back to the original netlist by the pipeline's
-/// [`CertificateChain`](diam_core::CertificateChain).
-///
-/// Per target, when the chain's bound map is purely additive
-/// (`d̂ ↦ d̂ + p`, see [`diam_core::PipelineResult::prefix_obligation`]):
-///
-/// 1. the **prefix** `0..=min(p − 1, max_depth)` is checked on the
-///    *original* netlist (the transformed netlist cannot observe hits
-///    shallower than `p`);
-/// 2. the remaining budget `0..=max_depth − p` is checked on the
-///    *transformed* netlist;
-/// 3. a transformed counterexample is lifted through the certificate chain
-///    ([`diam_core::PipelineResult::lift_witness`]) into a replayable
-///    counterexample of the original netlist. Clean results compose:
-///    original-clean to `p − 1` plus transformed-clean to `max_depth − p`
-///    proves the original clean to `max_depth`.
-///
-/// Multiplicative (FOLD) chains do not transfer emptiness, and a lift can
-/// fail in the enlargement corner case documented in
-/// `diam_transform::pass` — both fall back to plain [`check`] on the
-/// original netlist, so the outcome contract is identical to
-/// [`check_all`]'s: every counterexample replays on the original netlist.
-pub fn check_all_transformed(
-    n: &Netlist,
-    pipeline: &Pipeline,
-    opts: &BmcOptions,
-) -> Vec<BmcOutcome> {
-    let _sp = diam_obs::span!(
-        "bmc.check_transformed",
-        targets = n.targets().len(),
-        max_depth = opts.max_depth
-    );
-    let result = pipeline.run(n);
-    (0..n.targets().len())
-        .map(|i| check_one_transformed(n, &result, i, opts))
-        .collect()
-}
-
-/// The per-target body of [`check_all_transformed`] (also the engine behind
-/// the portfolio's diameter-complete check).
-pub(crate) fn check_one_transformed(
-    n: &Netlist,
-    result: &diam_core::PipelineResult,
-    index: usize,
-    opts: &BmcOptions,
-) -> BmcOutcome {
-    let target = n.targets()[index].lit;
-    let Some(p) = result.prefix_obligation(index) else {
-        // A FOLD step is in the chain: `c · d̂` bounds do not transfer
-        // emptiness depth-for-depth, so search the original directly.
-        return check(n, index, opts);
-    };
-    // 1. Prefix on the original netlist.
-    if p > 0 {
-        let prefix = BmcOptions {
-            max_depth: (p - 1).min(opts.max_depth),
-            ..opts.clone()
-        };
-        match check(n, index, &prefix) {
-            BmcOutcome::NoHitUpTo(_) => {}
-            decided => return decided,
-        }
-        if p > opts.max_depth {
-            return BmcOutcome::NoHitUpTo(opts.max_depth);
-        }
-    }
-    // 2. Remaining budget on the transformed netlist.
-    let suffix = BmcOptions {
-        max_depth: opts.max_depth - p,
-        ..opts.clone()
-    };
-    match check(&result.netlist, index, &suffix) {
-        BmcOutcome::Counterexample { depth, witness } => {
-            match result.lift_witness(index, &witness) {
-                Some(lifted) => {
-                    let depth = lifted.inputs.len() as u64 - 1;
-                    debug_assert!(
-                        lifted.replays_to(n, target),
-                        "lifted witness fails to replay at depth {depth}"
-                    );
-                    BmcOutcome::Counterexample {
-                        depth,
-                        witness: lifted,
-                    }
-                }
-                // The enlargement corner case: the transformed hit does not
-                // extend to the original target (spurious depth-0 enlarged
-                // witness) — search the original directly.
-                None => {
-                    debug_assert!(
-                        result.chain.certs().iter().any(|c| c.pass() == "enl"),
-                        "only enlargement lifts may fail (found cex at {depth})"
-                    );
-                    check(n, index, opts)
-                }
-            }
-        }
-        BmcOutcome::NoHitUpTo(_) => BmcOutcome::NoHitUpTo(opts.max_depth),
-        BmcOutcome::Unknown { depth } => BmcOutcome::Unknown { depth: depth + p },
-    }
-}
-
-/// The classic path: one incremental solver and one unrolling, shared by
-/// every target.
-fn check_all_shared(n: &Netlist, opts: &BmcOptions) -> Vec<BmcOutcome> {
-    let mut solver = new_solver(opts);
-    let mut unroller = Unroller::new(n, FrameZero::Init);
-    let targets = n.targets().to_vec();
-    let mut outcomes: Vec<Option<BmcOutcome>> = vec![None; targets.len()];
-    'depth: for depth in 0..=opts.max_depth {
-        maybe_force_panic(depth);
-        for (i, t) in targets.iter().enumerate() {
-            if outcomes[i].is_some() {
-                continue;
-            }
-            match solve_depth(n, &mut solver, &mut unroller, t.lit, depth, None, opts) {
-                (SolveResult::Sat, witness) => {
-                    let witness = witness.expect("SAT verdicts carry a witness");
-                    debug_assert!(witness.replays_to(n, t.lit));
-                    outcomes[i] = Some(BmcOutcome::Counterexample { depth, witness });
-                }
-                (SolveResult::Unsat, _) => {}
-                (SolveResult::Unknown, _) => {
-                    outcomes[i] = Some(BmcOutcome::Unknown { depth });
-                }
-            }
-        }
-        if outcomes.iter().all(Option::is_some) {
-            break 'depth;
-        }
-        // Level-0 boundary between depths of the shared unrolling: the
-        // incremental solver lives for the whole sweep, so tombstone
-        // cleanup matters most here.
-        inprocess_traced(&mut solver);
-    }
-    outcomes
-        .into_iter()
-        .map(|o| o.unwrap_or(BmcOutcome::NoHitUpTo(opts.max_depth)))
-        .collect()
-}
-
-/// Outcome of one depth-range work unit of a cone-sliced target.
-#[derive(Debug)]
-enum ChunkOutcome {
-    /// Hit at `depth`; the witness is already lifted to the original netlist.
-    Cex { depth: u64, witness: Witness },
-    /// Budget expired at `depth`.
-    Unknown { depth: u64 },
-    /// Every depth in the unit's range is unreachable.
-    Clean,
-    /// The unit stopped early: a strictly shallower unit of the same target
-    /// already recorded an event in the shared frontier (or the run was
-    /// cancelled). Never reached by the ascending merge scan unless the
-    /// whole run was cancelled.
-    Stopped { at: u64 },
-}
-
-/// One work unit: depths `lo..=hi` of target `target`.
-#[derive(Debug, Clone, Copy)]
-struct ChunkUnit {
-    target: usize,
-    lo: u64,
-    hi: u64,
-}
-
-/// The per-target-cone path: slice each target, split its depth range into
-/// units, fan the units out, and merge in deterministic target order.
-fn check_all_sliced(n: &Netlist, opts: &BmcOptions) -> Vec<BmcOutcome> {
     let ntargets = n.targets().len();
     // Slices are immutable inputs shared by all units of a target.
     let slices: Vec<Rebuilt> = (0..ntargets).map(|i| slice_target(n, i)).collect();
@@ -500,98 +284,280 @@ fn check_all_sliced(n: &Netlist, opts: &BmcOptions) -> Vec<BmcOutcome> {
     // Merge: scan each target's units in ascending depth order; the first
     // event wins. Early stopping cannot change this — a unit only stops when
     // a *strictly shallower* unit has recorded an event, and that unit is
-    // scanned first.
-    let mut outcomes: Vec<BmcOutcome> = vec![BmcOutcome::NoHitUpTo(opts.max_depth); ntargets];
-    let mut decided = vec![false; ntargets];
+    // scanned first. A `Stopped` unit is only reached when the caller's
+    // token was cancelled, and then reads as `Unknown` at its depth.
+    let mut outcomes: Vec<Option<BmcOutcome>> = vec![None; ntargets];
     for (u, outcome) in meta.into_iter().zip(results) {
-        if decided[u.target] {
-            continue;
-        }
-        match outcome {
-            ChunkOutcome::Clean => {}
-            ChunkOutcome::Cex { depth, witness } => {
-                outcomes[u.target] = BmcOutcome::Counterexample { depth, witness };
-                decided[u.target] = true;
-            }
-            ChunkOutcome::Unknown { depth } => {
-                outcomes[u.target] = BmcOutcome::Unknown { depth };
-                decided[u.target] = true;
-            }
-            ChunkOutcome::Stopped { at } => {
-                // Only reachable when the caller's token was cancelled
-                // before the shallowest pending unit finished; report the
-                // inconclusive depth honestly.
-                outcomes[u.target] = BmcOutcome::Unknown { depth: at };
-                decided[u.target] = true;
-            }
+        let slot = &mut outcomes[u.target];
+        if slot.is_none() && !matches!(outcome, LoopOutcome::Clean) {
+            *slot = Some(outcome.into_bmc(opts.max_depth));
         }
     }
     outcomes
+        .into_iter()
+        .map(|o| o.unwrap_or(BmcOutcome::NoHitUpTo(opts.max_depth)))
+        .collect()
 }
 
-/// Solves depths `lo..=hi` of one cone slice with a fresh solver.
+/// Runs BMC on every target *through* a transformation pipeline: the search
+/// happens on the transformed (smaller, shallower) netlist, and every
+/// verdict is carried back to the original netlist by the pipeline's
+/// [`CertificateChain`](diam_core::CertificateChain).
+///
+/// Per target, when the chain's bound map is purely additive
+/// (`d̂ ↦ d̂ + p`, see [`diam_core::PipelineResult::prefix_obligation`]):
+///
+/// 1. the **prefix** `0..=min(p − 1, max_depth)` is checked on the
+///    *original* netlist (the transformed netlist cannot observe hits
+///    shallower than `p`);
+/// 2. the remaining budget `0..=max_depth − p` is checked on the
+///    *transformed* netlist;
+/// 3. a transformed counterexample is lifted through the certificate chain
+///    ([`diam_core::PipelineResult::lift_witness`]) into a replayable
+///    counterexample of the original netlist. Clean results compose:
+///    original-clean to `p − 1` plus transformed-clean to `max_depth − p`
+///    proves the original clean to `max_depth`.
+///
+/// Multiplicative (FOLD) chains do not transfer emptiness, and a lift can
+/// fail in the enlargement corner case documented in
+/// `diam_transform::pass` — both fall back to plain [`check`] on the
+/// original netlist, as does a lifted witness that fails its replay on the
+/// original, so the outcome contract is identical to [`check_all`]'s: every
+/// counterexample replays on the original netlist.
+pub fn check_all_transformed(
+    n: &Netlist,
+    pipeline: &Pipeline,
+    opts: &BmcOptions,
+) -> Vec<BmcOutcome> {
+    let _sp = diam_obs::span!(
+        "bmc.check_transformed",
+        targets = n.targets().len(),
+        max_depth = opts.max_depth
+    );
+    let result = pipeline.run(n);
+    (0..n.targets().len())
+        .map(|i| check_one_transformed(n, &result, i, opts))
+        .collect()
+}
+
+/// The per-target body of [`check_all_transformed`] (also engine 3 of the
+/// portfolio, the diameter-complete check).
+pub(crate) fn check_one_transformed(
+    n: &Netlist,
+    result: &diam_core::PipelineResult,
+    index: usize,
+    opts: &BmcOptions,
+) -> BmcOutcome {
+    let Some(p) = result.prefix_obligation(index) else {
+        // A FOLD step is in the chain: `c · d̂` bounds do not transfer
+        // emptiness depth-for-depth, so search the original directly.
+        return check(n, index, opts);
+    };
+    // 1. Prefix on the original netlist.
+    if p > 0 {
+        let prefix = BmcOptions {
+            max_depth: (p - 1).min(opts.max_depth),
+            ..opts.clone()
+        };
+        match check(n, index, &prefix) {
+            BmcOutcome::NoHitUpTo(_) => {}
+            decided => return decided,
+        }
+        if p > opts.max_depth {
+            return BmcOutcome::NoHitUpTo(opts.max_depth);
+        }
+    }
+    // 2. Remaining budget on the transformed netlist.
+    let suffix = BmcOptions {
+        max_depth: opts.max_depth - p,
+        ..opts.clone()
+    };
+    match check(&result.netlist, index, &suffix) {
+        BmcOutcome::Counterexample { depth, witness } => {
+            match result.lift_witness(index, &witness) {
+                Some(lifted) => {
+                    let depth = lifted.inputs.len() as u64 - 1;
+                    if replays(n, index, &lifted, depth) {
+                        return BmcOutcome::Counterexample {
+                            depth,
+                            witness: lifted,
+                        };
+                    }
+                }
+                // The enlargement corner case: the transformed hit does not
+                // extend to the original target (spurious depth-0 enlarged
+                // witness).
+                None => debug_assert!(
+                    result.chain.certs().iter().any(|c| c.pass() == "enl"),
+                    "only enlargement lifts may fail (found cex at {depth})"
+                ),
+            }
+            // No replayable lift: search the original directly.
+            check(n, index, opts)
+        }
+        BmcOutcome::NoHitUpTo(_) => BmcOutcome::NoHitUpTo(opts.max_depth),
+        BmcOutcome::Unknown { depth } => BmcOutcome::Unknown { depth: depth + p },
+    }
+}
+
+/// How one run of the [depth loop](depth_loop) ended.
+#[derive(Debug)]
+enum LoopOutcome {
+    /// Hit at `depth`; the witness replays on the caller's netlist.
+    Cex { depth: u64, witness: Witness },
+    /// Budget expired at `depth`, or the witness found there failed to
+    /// replay.
+    Unknown { depth: u64 },
+    /// Every depth in the loop's range is unreachable.
+    Clean,
+    /// `before_solve` stopped the loop before it solved depth `at`.
+    Stopped { at: u64 },
+}
+
+impl LoopOutcome {
+    /// The [`BmcOutcome`] of a loop over `0..=max_depth`; a stopped loop
+    /// reports the inconclusive depth honestly.
+    fn into_bmc(self, max_depth: u64) -> BmcOutcome {
+        match self {
+            LoopOutcome::Cex { depth, witness } => BmcOutcome::Counterexample { depth, witness },
+            LoopOutcome::Unknown { depth } | LoopOutcome::Stopped { at: depth } => {
+                BmcOutcome::Unknown { depth }
+            }
+            LoopOutcome::Clean => BmcOutcome::NoHitUpTo(max_depth),
+        }
+    }
+}
+
+/// The one BMC depth loop every obligation runs through: target `index` of
+/// `n` over depths `lo..=hi`, with a fresh solver and unroller.
+///
+/// With a `slice` (a cone slice of `n` from [`slice_target`]) the search
+/// runs on the slice and each witness is lifted back to `n`. Frames below
+/// `lo` are encoded but not solved. At every depth the loop asks
+/// `before_solve(depth)` first (`false` stops it), then solves the depth
+/// (through the cube layer when enabled; `token` scopes any cube group) and
+/// lets the solver clean up after each UNSAT. Every counterexample is
+/// replayed on `n` before it is returned — in release builds too — and one
+/// that fails becomes `Unknown` at its depth.
+fn depth_loop(
+    n: &Netlist,
+    index: usize,
+    slice: Option<&Rebuilt>,
+    (lo, hi): (u64, u64),
+    token: Option<&CancelToken>,
+    opts: &BmcOptions,
+    mut before_solve: impl FnMut(u64) -> bool,
+) -> LoopOutcome {
+    let mut sp = diam_obs::span!("bmc.check", index = index, lo = lo, max_depth = hi);
+    let (searched, target) = match slice {
+        Some(s) => (&s.netlist, s.netlist.targets()[0].lit),
+        None => (n, n.targets()[index].lit),
+    };
+    let mut solver = new_solver(opts);
+    let mut unroller = Unroller::new(searched, FrameZero::Init);
+    for depth in 0..lo {
+        unroller.lit_at(&mut solver, target, depth as usize);
+    }
+    for depth in lo..=hi {
+        if !before_solve(depth) {
+            sp.record("outcome", "stopped");
+            return LoopOutcome::Stopped { at: depth };
+        }
+        maybe_force_panic(depth);
+        match solve_depth(
+            searched,
+            &mut solver,
+            &mut unroller,
+            target,
+            depth,
+            token,
+            opts,
+        ) {
+            (SolveResult::Sat, witness) => {
+                let witness = witness.expect("SAT verdicts carry a witness");
+                let witness = match slice {
+                    Some(s) => lift_witness(n, s, &witness),
+                    None => witness,
+                };
+                if !replays(n, index, &witness, depth) {
+                    sp.record("outcome", "unknown");
+                    sp.record("depth", depth);
+                    return LoopOutcome::Unknown { depth };
+                }
+                sp.record("outcome", "cex");
+                sp.record("depth", depth);
+                return LoopOutcome::Cex { depth, witness };
+            }
+            (SolveResult::Unsat, _) => {
+                // Natural level-0 boundary: this depth is clean, the next
+                // frame is about to be encoded — let the solver clean up
+                // (root-fact simplification + arena GC, both self-gated).
+                inprocess_traced(&mut solver);
+            }
+            (SolveResult::Unknown, _) => {
+                sp.record("outcome", "unknown");
+                sp.record("depth", depth);
+                return LoopOutcome::Unknown { depth };
+            }
+        }
+    }
+    sp.record("outcome", "clean");
+    LoopOutcome::Clean
+}
+
+/// The release-mode counterexample audit: whether `witness` is a
+/// depth-`depth` trace that drives target `index` of `n` at its last step.
+/// A witness that fails emits a `verdict.replay_failed` event.
+fn replays(n: &Netlist, index: usize, witness: &Witness, depth: u64) -> bool {
+    let ok =
+        witness.inputs.len() as u64 == depth + 1 && witness.replays_to(n, n.targets()[index].lit);
+    if !ok {
+        diam_obs::event!("verdict.replay_failed", index = index, depth = depth);
+    }
+    ok
+}
+
+/// One [`check_all`] work unit: depths `lo..=hi` of target `target`.
+#[derive(Debug, Clone, Copy)]
+struct ChunkUnit {
+    target: usize,
+    lo: u64,
+    hi: u64,
+}
+
+/// Runs one [`check_all`] unit on its target's cone slice. The unit stops
+/// early once the run is cancelled or a strictly shallower unit of the same
+/// target has recorded an event in `frontier`, and records its own hit (or
+/// budget expiry) there.
 fn run_chunk(
-    orig: &Netlist,
+    n: &Netlist,
     slice: &Rebuilt,
     frontier: &Frontier,
     u: ChunkUnit,
     token: &CancelToken,
     opts: &BmcOptions,
-) -> ChunkOutcome {
-    let mut sp = diam_obs::span!("bmc.chunk", target = u.target, lo = u.lo, hi = u.hi);
-    let orig_target = orig.targets()[u.target].lit;
-    let target = slice.netlist.targets()[0].lit;
-    let mut solver = new_solver(opts);
-    let mut unroller = Unroller::new(&slice.netlist, FrameZero::Init);
-    // Frames below `lo` belong to earlier units; they are unrolled (the
-    // encoding needs them) but not solved here.
-    for depth in 0..u.lo {
-        unroller.lit_at(&mut solver, target, depth as usize);
+) -> LoopOutcome {
+    let outcome = depth_loop(
+        n,
+        u.target,
+        Some(slice),
+        (u.lo, u.hi),
+        Some(token),
+        opts,
+        |depth| {
+            if token.is_cancelled() || frontier.superseded(depth) {
+                return false;
+            }
+            if let Some(probe) = &opts.solve_probe {
+                probe.fetch_add(1, Ordering::AcqRel);
+            }
+            true
+        },
+    );
+    if let LoopOutcome::Cex { depth, .. } | LoopOutcome::Unknown { depth } = outcome {
+        frontier.record(depth);
     }
-    for depth in u.lo..=u.hi {
-        if token.is_cancelled() || frontier.superseded(depth) {
-            sp.record("outcome", "stopped");
-            return ChunkOutcome::Stopped { at: depth };
-        }
-        maybe_force_panic(depth);
-        if let Some(probe) = &opts.solve_probe {
-            probe.fetch_add(1, Ordering::AcqRel);
-        }
-        match solve_depth(
-            &slice.netlist,
-            &mut solver,
-            &mut unroller,
-            target,
-            depth,
-            Some(token),
-            opts,
-        ) {
-            (SolveResult::Sat, sliced) => {
-                frontier.record(depth);
-                let sliced = sliced.expect("SAT verdicts carry a witness");
-                let witness = lift_witness(orig, slice, &sliced);
-                debug_assert!(
-                    witness.replays_to(orig, orig_target),
-                    "lifted witness fails to replay at depth {depth}"
-                );
-                sp.record("outcome", "cex");
-                sp.record("depth", depth);
-                return ChunkOutcome::Cex { depth, witness };
-            }
-            (SolveResult::Unsat, _) => {
-                // Level-0 boundary after a clean depth (self-gated cleanup).
-                inprocess_traced(&mut solver);
-            }
-            (SolveResult::Unknown, _) => {
-                frontier.record(depth);
-                sp.record("outcome", "unknown");
-                sp.record("depth", depth);
-                return ChunkOutcome::Unknown { depth };
-            }
-        }
-    }
-    sp.record("outcome", "clean");
-    ChunkOutcome::Clean
+    outcome
 }
 
 /// Lifts a witness for a cone slice back to the original netlist: every
@@ -713,7 +679,26 @@ pub enum InductionOutcome {
 /// Proves `AG ¬target` by k-induction with simple-path strengthening:
 /// base case — no hit within `k` steps from the initial states; step case —
 /// a loop-free path of `k+1` unhit states cannot be extended to a hit.
+///
+/// This is [`k_induction_with_invariants`] with no invariants.
 pub fn k_induction(n: &Netlist, index: usize, max_k: u64) -> InductionOutcome {
+    k_induction_with_invariants(n, index, max_k, &[])
+}
+
+/// Proves `AG ¬target` by k-induction strengthened with externally proven
+/// *invariant equalities* (literal pairs that hold in every reachable
+/// state — e.g. [`diam_transform::com::SweepResult::proven`]).
+///
+/// The invariants are asserted at every unrolled frame of the step case,
+/// shrinking the set of spurious "unreachable predecessor" states that make
+/// plain induction fail; the base case runs from the initial states, where
+/// the invariants hold by assumption, so soundness is preserved.
+pub fn k_induction_with_invariants(
+    n: &Netlist,
+    index: usize,
+    max_k: u64,
+    invariants: &[(Lit, Lit)],
+) -> InductionOutcome {
     let target = n.targets()[index].lit;
     let cone = diam_netlist::analysis::coi(n, [target]);
     let regs = cone.regs.clone();
@@ -740,77 +725,6 @@ pub fn k_induction(n: &Netlist, index: usize, max_k: u64) -> InductionOutcome {
         for t in 0..=k {
             let l = u.lit_at(&mut solver, target, t as usize);
             assumptions.push(!l);
-        }
-        let hit = u.lit_at(&mut solver, target, (k + 1) as usize);
-        assumptions.push(hit);
-        // Simple-path constraint.
-        let mut frames: Vec<Vec<SatLit>> = Vec::new();
-        for t in 0..=(k + 1) {
-            frames.push(
-                regs.iter()
-                    .map(|&r| u.lit_at(&mut solver, r.lit(), t as usize))
-                    .collect(),
-            );
-        }
-        for a in 0..frames.len() {
-            for b in (a + 1)..frames.len() {
-                let diffs: Vec<SatLit> = frames[a]
-                    .iter()
-                    .zip(&frames[b])
-                    .map(|(&x, &y)| {
-                        let d = solver.new_var().positive();
-                        solver.add_clause([!d, x, y]);
-                        solver.add_clause([!d, !x, !y]);
-                        d
-                    })
-                    .collect();
-                solver.add_clause(diffs);
-            }
-        }
-        if solve_traced(&mut solver, &assumptions, k) == SolveResult::Unsat {
-            return InductionOutcome::Proved { k };
-        }
-    }
-    InductionOutcome::Unknown
-}
-
-/// Proves `AG ¬target` by k-induction strengthened with externally proven
-/// *invariant equalities* (literal pairs that hold in every reachable
-/// state — e.g. [`diam_transform::com::SweepResult::proven`]).
-///
-/// The invariants are asserted at every unrolled frame of the step case,
-/// shrinking the set of spurious "unreachable predecessor" states that make
-/// plain induction fail; the base case runs from the initial states, where
-/// the invariants hold by assumption, so soundness is preserved.
-pub fn k_induction_with_invariants(
-    n: &Netlist,
-    index: usize,
-    max_k: u64,
-    invariants: &[(Lit, Lit)],
-) -> InductionOutcome {
-    let target = n.targets()[index].lit;
-    let cone = diam_netlist::analysis::coi(n, [target]);
-    let regs = cone.regs.clone();
-
-    for k in 0..=max_k {
-        let base = check(
-            n,
-            index,
-            &BmcOptions {
-                max_depth: k,
-                ..BmcOptions::default()
-            },
-        );
-        if let BmcOutcome::Counterexample { depth, witness } = base {
-            return InductionOutcome::Counterexample { depth, witness };
-        }
-
-        let mut solver = Solver::new();
-        let mut u = Unroller::new(n, FrameZero::Free);
-        let mut assumptions = Vec::new();
-        for t in 0..=k {
-            let l = u.lit_at(&mut solver, target, t as usize);
-            assumptions.push(!l);
             // Strengthen with the invariant equalities at every frame.
             for &(x, y) in invariants {
                 let lx = u.lit_at(&mut solver, x, t as usize);
@@ -821,6 +735,7 @@ pub fn k_induction_with_invariants(
         }
         let hit = u.lit_at(&mut solver, target, (k + 1) as usize);
         assumptions.push(hit);
+        // Simple-path constraint.
         let mut frames: Vec<Vec<SatLit>> = Vec::new();
         for t in 0..=(k + 1) {
             frames.push(
@@ -907,30 +822,7 @@ pub enum ProveOutcome {
 /// target's cone, so the result is a proof.
 pub fn prove(n: &Netlist, index: usize, pipeline: &Pipeline, opts: &ProveOptions) -> ProveOutcome {
     let bounds = pipeline.bound_targets(n, &opts.structural);
-    let bound = match bounds[index].original {
-        Bound::Finite(b) => b,
-        Bound::Exponential => return ProveOutcome::BoundTooLarge { bound: None },
-    };
-    if opts.depth_cap != 0 && bound > opts.depth_cap {
-        return ProveOutcome::BoundTooLarge { bound: Some(bound) };
-    }
-    match check(
-        n,
-        index,
-        &BmcOptions {
-            max_depth: bound.saturating_sub(1),
-            conflict_budget: opts.conflict_budget,
-            cube: opts.cube.clone(),
-            portfolio: opts.portfolio,
-            ..BmcOptions::default()
-        },
-    ) {
-        BmcOutcome::Counterexample { depth, witness } => {
-            ProveOutcome::Counterexample { depth, witness }
-        }
-        BmcOutcome::NoHitUpTo(_) => ProveOutcome::Proved { bound },
-        BmcOutcome::Unknown { .. } => ProveOutcome::Unknown,
-    }
+    prove_target(n, index, bounds[index].original, false, None, opts)
 }
 
 /// Runs [`prove`] on every target, sharing the pipeline run and bounding
@@ -947,89 +839,80 @@ pub fn prove_all(n: &Netlist, pipeline: &Pipeline, opts: &ProveOptions) -> Vec<P
     let mut structural = opts.structural.clone();
     structural.parallelism = opts.parallelism;
     let bounds = pipeline.bound_targets(n, &structural);
-
-    /// A per-target job: either decided by bounding alone, or a BMC
-    /// obligation with a precomputed scheduling weight.
-    enum ProveJob {
-        Done(ProveOutcome),
-        Bmc {
-            index: usize,
-            bound: u64,
-            weight: u64,
-        },
-    }
-
-    let jobs: Vec<ProveJob> = bounds
-        .iter()
-        .enumerate()
-        .map(|(i, pb)| {
-            let bound = match pb.original {
-                Bound::Finite(b) => b,
-                Bound::Exponential => {
-                    return ProveJob::Done(ProveOutcome::BoundTooLarge { bound: None })
-                }
-            };
-            if opts.depth_cap != 0 && bound > opts.depth_cap {
-                return ProveJob::Done(ProveOutcome::BoundTooLarge { bound: Some(bound) });
-            }
-            let cone = diam_netlist::analysis::coi(n, [n.targets()[i].lit]);
-            let weight = (cone.regs.len() as u64 + cone.inputs.len() as u64 + 1)
-                .saturating_mul(bound.max(1));
-            ProveJob::Bmc {
-                index: i,
-                bound,
-                weight,
-            }
-        })
-        .collect();
-
     diam_par::run(
         opts.parallelism,
-        jobs,
-        |job| match job {
-            ProveJob::Done(_) => 0,
-            ProveJob::Bmc { weight, .. } => *weight,
-        },
-        |_, job, token| match job {
-            ProveJob::Done(outcome) => outcome,
-            ProveJob::Bmc { index, bound, .. } => {
-                let mut sp = diam_obs::span!(
-                    "prove.target",
-                    index = index,
-                    target = n.targets()[index].name.as_str(),
-                    bound = bound
-                );
-                let slice = slice_target(n, index);
-                let frontier = Frontier::new();
-                let unit = ChunkUnit {
-                    target: index,
-                    lo: 0,
-                    hi: bound.saturating_sub(1),
-                };
-                let bmc = BmcOptions {
-                    max_depth: bound.saturating_sub(1),
-                    conflict_budget: opts.conflict_budget,
-                    cube: opts.cube.clone(),
-                    portfolio: opts.portfolio,
-                    ..BmcOptions::default()
-                };
-                match run_chunk(n, &slice, &frontier, unit, token, &bmc) {
-                    ChunkOutcome::Cex { depth, witness } => {
-                        sp.record("outcome", "cex");
-                        ProveOutcome::Counterexample { depth, witness }
-                    }
-                    ChunkOutcome::Clean => {
-                        sp.record("outcome", "proved");
-                        ProveOutcome::Proved { bound }
-                    }
-                    ChunkOutcome::Unknown { .. } | ChunkOutcome::Stopped { .. } => {
-                        sp.record("outcome", "unknown");
-                        ProveOutcome::Unknown
-                    }
-                }
+        (0..bounds.len()).collect(),
+        |&i| match bmc_bound(bounds[i].original, opts) {
+            Ok(bound) => {
+                let cone = diam_netlist::analysis::coi(n, [n.targets()[i].lit]);
+                (cone.regs.len() as u64 + cone.inputs.len() as u64 + 1).saturating_mul(bound.max(1))
             }
+            Err(_) => 0,
         },
+        |_, i, token| prove_target(n, i, bounds[i].original, true, Some(token), opts),
     )
+}
+
+/// The bound a proof obligation runs BMC against: `Ok(d̂)` when `bound` is
+/// finite and within [`ProveOptions::depth_cap`], otherwise the
+/// `BoundTooLarge` verdict.
+fn bmc_bound(bound: Bound, opts: &ProveOptions) -> Result<u64, ProveOutcome> {
+    match bound {
+        Bound::Exponential => Err(ProveOutcome::BoundTooLarge { bound: None }),
+        Bound::Finite(b) if opts.depth_cap != 0 && b > opts.depth_cap => {
+            Err(ProveOutcome::BoundTooLarge { bound: Some(b) })
+        }
+        Bound::Finite(b) => Ok(b),
+    }
+}
+
+/// The one proof obligation behind [`prove`] and [`prove_all`]: target
+/// `index` with back-translated bound `bound` is `BoundTooLarge`, or BMC to
+/// `d̂ − 1` decides it — on the target's cone slice when `sliced`. A set
+/// `token` stops the BMC run once cancelled.
+fn prove_target(
+    n: &Netlist,
+    index: usize,
+    bound: Bound,
+    sliced: bool,
+    token: Option<&CancelToken>,
+    opts: &ProveOptions,
+) -> ProveOutcome {
+    let bound = match bmc_bound(bound, opts) {
+        Ok(b) => b,
+        Err(too_large) => return too_large,
+    };
+    let mut sp = diam_obs::span!(
+        "prove.target",
+        index = index,
+        target = n.targets()[index].name.as_str(),
+        bound = bound
+    );
+    let bmc = BmcOptions {
+        max_depth: bound.saturating_sub(1),
+        conflict_budget: opts.conflict_budget,
+        cube: opts.cube.clone(),
+        portfolio: opts.portfolio,
+        ..BmcOptions::default()
+    };
+    let slice = sliced.then(|| slice_target(n, index));
+    let depths = (0, bmc.max_depth);
+    match depth_loop(n, index, slice.as_ref(), depths, token, &bmc, |_| {
+        !token.is_some_and(CancelToken::is_cancelled)
+    }) {
+        LoopOutcome::Cex { depth, witness } => {
+            sp.record("outcome", "cex");
+            ProveOutcome::Counterexample { depth, witness }
+        }
+        LoopOutcome::Clean => {
+            sp.record("outcome", "proved");
+            ProveOutcome::Proved { bound }
+        }
+        LoopOutcome::Unknown { .. } | LoopOutcome::Stopped { .. } => {
+            sp.record("outcome", "unknown");
+            ProveOutcome::Unknown
+        }
+    }
 }
 
 /// Options for [`random_search`] and [`random_search_many`].
@@ -1180,29 +1063,6 @@ pub fn prove_localized(
     }
 }
 
-/// Returns the number of state bits in the target's cone — handy for
-/// deciding whether [`diam_core::exact::explore`] is feasible as a
-/// cross-check.
-pub fn cone_state_bits(n: &Netlist, index: usize) -> usize {
-    let target = n.targets()[index].lit;
-    diam_netlist::analysis::coi(n, [target]).regs.len()
-}
-
-/// Validates structural invariants useful before checking: all register
-/// next-functions connected (not default-false while having fanin), no
-/// dangling targets.
-pub fn sanity_check(n: &Netlist) -> Result<(), String> {
-    n.validate().map_err(|e| e.to_string())?;
-    for g in n.gates() {
-        if let GateKind::And(a, b) = n.kind(g) {
-            if a == Lit::FALSE || b == Lit::FALSE {
-                return Err(format!("gate {g} has a constant-false fanin"));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // index loops mirror the math here
 mod tests {
@@ -1260,8 +1120,8 @@ mod tests {
 
     #[test]
     fn check_all_matches_per_target_checks() {
-        // A counter with several value targets: the shared-unroller sweep
-        // must agree with individual checks.
+        // A counter with several value targets: the cone-sliced jobs must
+        // agree with individual checks.
         let mut n = Netlist::new();
         let b: Vec<Gate> = (0..3).map(|k| n.reg(format!("b{k}"), Init::Zero)).collect();
         let mut carry = Lit::TRUE;
@@ -1326,6 +1186,51 @@ mod tests {
             }
             other => panic!("expected counterexample, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn replay_check_rejects_a_wrong_witness() {
+        use diam_obs::{EventKind, ObsConfig, ObsMode, RunManifest, Session};
+        // Target: three consecutive 1s on the input.
+        let mut n = Netlist::new();
+        let i = n.input("i");
+        let s0 = n.reg("s0", Init::Zero);
+        let s1 = n.reg("s1", Init::Zero);
+        n.set_next(s0, i.lit());
+        n.set_next(s1, s0.lit());
+        let two = n.and(s0.lit(), s1.lit());
+        let t = n.and(two, i.lit());
+        n.add_target(t, "three_ones");
+        let right = Witness {
+            inputs: vec![vec![true]; 3],
+            nondet_init: vec![false; 2],
+        };
+        let wrong = Witness {
+            inputs: vec![vec![true], vec![false], vec![true]],
+            nondet_init: vec![false; 2],
+        };
+        let session = Session::install(
+            ObsConfig {
+                mode: ObsMode::Json,
+                ..ObsConfig::default()
+            },
+            RunManifest::capture("replay-test"),
+        );
+        assert!(replays(&n, 0, &right, 2));
+        assert!(!replays(&n, 0, &wrong, 2), "the trace never hits");
+        assert!(!replays(&n, 0, &right, 3), "the trace is one step short");
+        let failures: Vec<String> = session
+            .finish()
+            .events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Point { name, fields, .. } if *name == "verdict.replay_failed" => {
+                    Some(format!("{fields:?}"))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(failures.len(), 2, "{failures:?}");
     }
 
     #[test]
@@ -1640,12 +1545,6 @@ mod tests {
             prove(&n, 0, &Pipeline::com(), &ProveOptions::default()),
             ProveOutcome::Proved { .. }
         ));
-    }
-
-    #[test]
-    fn sanity_check_accepts_valid_netlists() {
-        let n = counter(3, 1);
-        assert!(sanity_check(&n).is_ok());
     }
 
     #[test]

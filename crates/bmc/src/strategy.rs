@@ -23,8 +23,8 @@
 //! 6. otherwise the target is reported open, with its bound as diagnosis.
 
 use crate::{
-    check, k_induction_with_invariants, random_search_many, BmcOptions, BmcOutcome,
-    InductionOutcome, RandomSearchOptions,
+    check, check_one_transformed, k_induction_with_invariants, random_search_many, BmcOptions,
+    BmcOutcome, InductionOutcome, RandomSearchOptions,
 };
 use diam_core::{Bound, Pipeline, StructuralOptions};
 use diam_netlist::sim::Witness;
@@ -158,14 +158,19 @@ pub fn solve_all(n: &Netlist, opts: &StrategyOptions) -> Vec<TargetStatus> {
                 return TargetStatus::Proved { by: Engine::Com };
             }
             // 3. Diameter-complete BMC through the transformation pipeline:
-            // search on the transformed netlist (to the *transformed* bound)
-            // and lift any counterexample home through the certificate
-            // chain. Falls back to the original netlist for multiplicative
-            // chains or failed lifts.
+            // a clean prefix (original netlist, depths `0..p`) plus a clean
+            // transformed check (depths `0..=b − 1 − p`) covers original
+            // depths `0..=b − 1`; counterexamples come home through the
+            // certificate chain. Falls back to the original netlist for
+            // multiplicative chains or failed lifts.
             let bound = bounds[i].original;
             if let Bound::Finite(b) = bound {
                 if opts.depth_cap == 0 || b <= opts.depth_cap {
-                    match diameter_complete_check(n, &pipelined, i, b) {
+                    let bmc = BmcOptions {
+                        max_depth: b.saturating_sub(1),
+                        ..BmcOptions::default()
+                    };
+                    match check_one_transformed(n, &pipelined, i, &bmc) {
                         BmcOutcome::Counterexample { depth, witness } => {
                             return TargetStatus::Failed {
                                 depth,
@@ -233,32 +238,6 @@ pub fn solve_all(n: &Netlist, opts: &StrategyOptions) -> Vec<TargetStatus> {
             }
         })
         .collect()
-}
-
-/// Engine 3: a complete bounded check of target `index` against its
-/// back-translated bound `b`, run through the transformed netlist.
-///
-/// A clean prefix (original netlist, depths `0..p`) plus a clean
-/// transformed check (depths `0..=b − 1 − p`) covers original depths
-/// `0..=b − 1` — the same completeness contract as BMC-to-`b − 1` on the
-/// original, at the transformed netlist's (smaller) cost; counterexamples
-/// come back through the certificate chain's witness lifters and replay on
-/// the original netlist.
-fn diameter_complete_check(
-    n: &Netlist,
-    pipelined: &diam_core::PipelineResult,
-    index: usize,
-    b: u64,
-) -> BmcOutcome {
-    crate::check_one_transformed(
-        n,
-        pipelined,
-        index,
-        &BmcOptions {
-            max_depth: b.saturating_sub(1),
-            ..BmcOptions::default()
-        },
-    )
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@
 //!                    off costs one relaxed atomic load per allocation)
 //! ```
 
-use diam::bmc::{prove, CubeMode, CubeOptions, ProveOptions, ProveOutcome};
+use diam::bmc::{prove_all, CubeMode, CubeOptions, ProveOptions, ProveOutcome};
 use diam::core::classify::{classify, ClassifyOptions};
 use diam::core::{EccOptions, Pipeline, StructuralOptions};
 use diam::netlist::{aiger, Netlist};
@@ -292,9 +292,11 @@ fn cmd_prove(opts: &Options) -> Result<(), CliError> {
     let mut proved = 0;
     let mut failed = 0;
     let mut open = 0;
-    for i in 0..n.targets().len() {
-        let name = n.targets()[i].name.clone();
-        match prove(&n, i, &opts.pipeline, &prove_opts) {
+    // One pipeline run and bounding pass for every target.
+    let outcomes = prove_all(&n, &opts.pipeline, &prove_opts);
+    for (target, outcome) in n.targets().iter().zip(outcomes) {
+        let name = &target.name;
+        match outcome {
             ProveOutcome::Proved { bound } => {
                 proved += 1;
                 outln!("  PROVED     {name} (complete BMC to depth {})", bound - 1);

@@ -130,16 +130,25 @@ fn bad_arguments_fail_cleanly() {
 }
 
 /// Writes the generated suite design `name` (generator seed 101) to a temp
-/// `.aag` file.
+/// `.aag` file. Several tests share a design, so the file is written under a
+/// per-thread name and renamed into place: a reader never sees it half
+/// written.
 fn suite_design(profiles: Vec<diam::gen::profile::DesignProfile>, name: &str) -> PathBuf {
     let profile = profiles
         .into_iter()
         .find(|p| p.name == name)
         .expect("suite design");
     let n = diam::gen::profile::build(&profile, 101);
-    let path = std::env::temp_dir().join(format!("diam_cli_suite_{name}.aag"));
-    let f = std::fs::File::create(&path).expect("fixture");
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("diam_cli_suite_{name}.aag"));
+    let tmp = dir.join(format!(
+        "diam_cli_suite_{name}.{}.{:?}.tmp",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let f = std::fs::File::create(&tmp).expect("fixture");
     diam::netlist::aiger::write_ascii(&n, f).expect("fixture");
+    std::fs::rename(&tmp, &path).expect("fixture");
     path
 }
 
@@ -161,6 +170,44 @@ fn solve_output_matches_golden_on_suite_designs() {
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_diam"))
             .args(["solve", path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            golden,
+            "{}",
+            path.display()
+        );
+    }
+}
+
+/// The full `diam prove` stdout of two iscas and one gp suite design, byte
+/// for byte. The goldens were captured when `diam prove` still ran one
+/// `prove` (and one bounding pass) per target; the CLI now bounds once
+/// through `prove_all`, and every verdict and depth must stay the same.
+#[test]
+fn prove_output_matches_golden_on_suite_designs() {
+    for (path, golden) in [
+        (
+            suite_design(diam::gen::iscas::profiles(), "S953"),
+            include_str!("fixtures/prove_s953.txt"),
+        ),
+        (
+            suite_design(diam::gen::iscas::profiles(), "PROLOG"),
+            include_str!("fixtures/prove_prolog.txt"),
+        ),
+        (
+            suite_design(diam::gen::gp::profiles(), "W_SFA"),
+            include_str!("fixtures/prove_w_sfa.txt"),
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_diam"))
+            .args(["prove", path.to_str().unwrap()])
             .output()
             .expect("binary runs");
         assert!(
