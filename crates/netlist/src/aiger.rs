@@ -8,6 +8,7 @@
 //! cause the writer to fail.
 
 use crate::{Gate, GateKind, Init, Lit, Netlist};
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, Write};
 
@@ -51,6 +52,13 @@ fn parse_err(m: impl Into<String>) -> AigerError {
     AigerError::Parse(m.into())
 }
 
+/// An empty vector with room for `count` entries, but never more than
+/// `2^20` up front: header counts are untrusted, and entries beyond the cap
+/// are only stored once the input has actually supplied them.
+fn prealloc<T>(count: u32) -> Vec<T> {
+    Vec::with_capacity((count as usize).min(1 << 20))
+}
+
 /// Reads an ASCII (`aag`) or binary (`aig`) AIGER file into a [`Netlist`].
 ///
 /// Outputs become targets (named from the symbol table when present,
@@ -85,7 +93,11 @@ pub fn read<R: BufRead>(mut reader: R) -> Result<Netlist, AigerError> {
         .collect::<Result<_, _>>()?;
     let (m, i, l, o, a) = (nums[0], nums[1], nums[2], nums[3], nums[4]);
     let b = *nums.get(5).unwrap_or(&0);
-    if m < i + l + a {
+    // Literals are `2·var + 1` in a u32.
+    if m > u32::MAX >> 1 {
+        return Err(parse_err("M too large"));
+    }
+    if u64::from(m) < u64::from(i) + u64::from(l) + u64::from(a) {
         return Err(parse_err("M < I+L+A"));
     }
     let hdr = Header { m, i, l, o, a, b };
@@ -182,15 +194,15 @@ fn read_binary<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerE
     let Header { i, l, o, a, b, .. } = hdr;
     let mut n = Netlist::new();
     // Dense var -> literal table; index k is AIGER variable k.
-    let mut var_lit: Vec<Lit> = Vec::with_capacity((i + l + a + 1) as usize);
+    let mut var_lit: Vec<Lit> = prealloc(i + l + a + 1);
     var_lit.push(Lit::FALSE);
     // Names arrive only after the AND section; construct with positional
     // defaults and patch from the symbol table afterwards.
     for k in 0..i {
         var_lit.push(n.input(format!("i{k}")).lit());
     }
-    let mut regs: Vec<Gate> = Vec::with_capacity(l as usize);
-    let mut latch_next: Vec<u32> = Vec::with_capacity(l as usize);
+    let mut regs: Vec<Gate> = prealloc(l);
+    let mut latch_next: Vec<u32> = prealloc(l);
     for k in 0..l {
         let v = i + k + 1;
         let (next, reset) = match read_u32_line(&mut reader)?.as_slice() {
@@ -203,12 +215,12 @@ fn read_binary<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerE
         latch_next.push(next);
         var_lit.push(g.lit());
     }
-    let mut outputs: Vec<u32> = Vec::with_capacity(o as usize);
+    let mut outputs: Vec<u32> = prealloc(o);
     for _ in 0..o {
         let fields = read_u32_line(&mut reader)?;
         outputs.push(*fields.first().ok_or_else(|| parse_err("bad output line"))?);
     }
-    let mut bads: Vec<u32> = Vec::with_capacity(b as usize);
+    let mut bads: Vec<u32> = prealloc(b);
     for _ in 0..b {
         let fields = read_u32_line(&mut reader)?;
         bads.push(*fields.first().ok_or_else(|| parse_err("bad `bad` line"))?);
@@ -226,6 +238,9 @@ fn read_binary<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerE
                 return Ok(x);
             }
             shift += 7;
+            if shift > 28 {
+                return Err(parse_err("binary delta longer than 32 bits"));
+            }
         }
     };
     for k in 0..a {
@@ -284,10 +299,10 @@ fn read_binary<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerE
 /// order, so definitions are buffered and resolved with a worklist.
 fn read_ascii<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerError> {
     let Header { m, i, l, o, a, b } = hdr;
-    let mut input_vars: Vec<u32> = Vec::with_capacity(i as usize);
-    let mut latch_vars: Vec<u32> = Vec::with_capacity(l as usize);
-    let mut latch_next: Vec<u32> = Vec::with_capacity(l as usize);
-    let mut latch_reset: Vec<u32> = Vec::with_capacity(l as usize);
+    let mut input_vars: Vec<u32> = prealloc(i);
+    let mut latch_vars: Vec<u32> = prealloc(l);
+    let mut latch_next: Vec<u32> = prealloc(l);
+    let mut latch_reset: Vec<u32> = prealloc(l);
     for _ in 0..i {
         let fields = read_u32_line(&mut reader)?;
         let lit = *fields.first().ok_or_else(|| parse_err("bad input line"))?;
@@ -312,45 +327,51 @@ fn read_ascii<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerEr
             _ => return Err(parse_err("bad latch line")),
         }
     }
-    let mut outputs: Vec<u32> = Vec::with_capacity(o as usize);
+    let mut outputs: Vec<u32> = prealloc(o);
     for _ in 0..o {
         let fields = read_u32_line(&mut reader)?;
         outputs.push(*fields.first().ok_or_else(|| parse_err("bad output line"))?);
     }
-    let mut bads: Vec<u32> = Vec::with_capacity(b as usize);
+    let mut bads: Vec<u32> = prealloc(b);
     for _ in 0..b {
         let fields = read_u32_line(&mut reader)?;
         bads.push(*fields.first().ok_or_else(|| parse_err("bad `bad` line"))?);
     }
-    let mut and_defs: Vec<(u32, u32, u32)> = Vec::with_capacity(a as usize);
+    let mut and_defs: Vec<(u32, u32, u32)> = prealloc(a);
     for _ in 0..a {
         let fields = read_u32_line(&mut reader)?;
-        if fields.len() != 3 {
+        let &[lhs, rhs0, rhs1] = fields.as_slice() else {
             return Err(parse_err("bad and line"));
+        };
+        if lhs >> 1 > m {
+            return Err(parse_err("and var out of range"));
         }
-        and_defs.push((fields[0], fields[1], fields[2]));
+        and_defs.push((lhs, rhs0, rhs1));
     }
     let syms = read_symbols(&mut reader, hdr)?;
 
     // Construct the netlist: inputs, latches, then ANDs in topological order.
+    // Variables up to M may be used sparsely, so the var -> literal table
+    // holds the defined ones only.
     let mut n = Netlist::new();
-    let mut var_lit: Vec<Option<Lit>> = vec![None; (m + 1) as usize];
-    var_lit[0] = Some(Lit::FALSE);
+    let mut var_lit: HashMap<u32, Lit> = HashMap::new();
+    var_lit.insert(0, Lit::FALSE);
     for (k, &v) in input_vars.iter().enumerate() {
+        if v > m {
+            return Err(parse_err("input var out of range"));
+        }
         let name = syms.inputs[k].clone().unwrap_or_else(|| format!("i{k}"));
-        let g = n.input(name);
-        *var_lit
-            .get_mut(v as usize)
-            .ok_or_else(|| parse_err("input var out of range"))? = Some(g.lit());
+        var_lit.insert(v, n.input(name).lit());
     }
-    let mut regs: Vec<Gate> = Vec::with_capacity(l as usize);
+    let mut regs: Vec<Gate> = Vec::with_capacity(latch_vars.len());
     for (k, &v) in latch_vars.iter().enumerate() {
+        if v > m {
+            return Err(parse_err("latch var out of range"));
+        }
         let name = syms.latches[k].clone().unwrap_or_else(|| format!("l{k}"));
         let g = n.reg(name, latch_init(latch_reset[k], 2 * v)?);
         regs.push(g);
-        *var_lit
-            .get_mut(v as usize)
-            .ok_or_else(|| parse_err("latch var out of range"))? = Some(g.lit());
+        var_lit.insert(v, g.lit());
     }
     // ANDs may appear in any order in ASCII files; resolve with a worklist.
     let mut pending: Vec<(u32, u32, u32)> = and_defs;
@@ -362,7 +383,7 @@ fn read_ascii<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerEr
             match (fa, fb) {
                 (Some(fa), Some(fb)) => {
                     let lit = n.and(fa, fb);
-                    var_lit[(lhs >> 1) as usize] = Some(lit.xor_complement(lhs & 1 != 0));
+                    var_lit.insert(lhs >> 1, lit.xor_complement(lhs & 1 != 0));
                     false
                 }
                 _ => true,
@@ -398,12 +419,9 @@ fn split_symbol(rest: &str) -> Option<(usize, String)> {
     Some((idx, name))
 }
 
-fn resolve(var_lit: &[Option<Lit>], aiger_lit: u32) -> Option<Lit> {
-    let v = (aiger_lit >> 1) as usize;
+fn resolve(var_lit: &HashMap<u32, Lit>, aiger_lit: u32) -> Option<Lit> {
     var_lit
-        .get(v)
-        .copied()
-        .flatten()
+        .get(&(aiger_lit >> 1))
         .map(|l| l.xor_complement(aiger_lit & 1 != 0))
 }
 
@@ -669,6 +687,52 @@ mod tests {
     fn rejects_garbage() {
         assert!(read(std::io::Cursor::new("hello world\n")).is_err());
         assert!(read(std::io::Cursor::new("aag 1 1\n")).is_err());
+    }
+
+    fn parse_error(text: &[u8]) -> String {
+        match read(std::io::Cursor::new(text)) {
+            Err(AigerError::Parse(m)) => m,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn out_of_range_vars_are_parse_errors() {
+        assert_eq!(
+            parse_error(b"aag 1 0 0 0 1\n10 0 0\n"),
+            "and var out of range"
+        );
+        assert_eq!(parse_error(b"aag 1 1 0 0 0\n4\n"), "input var out of range");
+        assert_eq!(
+            parse_error(b"aag 1 0 1 0 0\n4 0\n"),
+            "latch var out of range"
+        );
+        assert_eq!(
+            parse_error(b"aag 3 2 0 1 1\n2\n4\n6\n6 6 4\n"),
+            "cyclic or dangling AND definitions"
+        );
+    }
+
+    #[test]
+    fn huge_header_values_allocate_by_input_size() {
+        // A sparse ascii file: one input at a huge variable index.
+        let sparse = "aag 2000000000 1 0 1 0\n3999999998\n3999999998\n";
+        assert_eq!(read(sparse.as_bytes()).unwrap().num_inputs(), 1);
+        assert_eq!(parse_error(b"aag 2147483648 0 0 0 0\n"), "M too large");
+        assert_eq!(
+            parse_error(b"aag 4 4294967295 4294967295 0 0\n"),
+            "M < I+L+A"
+        );
+        // Counts the input does not back end at the end of the file.
+        assert!(read(&b"aig 2000000000 0 0 4000000000 2000000000\n"[..]).is_err());
+        assert!(read(&b"aag 2000000000 0 2000000000 0 0\n2 2\n"[..]).is_err());
+    }
+
+    #[test]
+    fn overlong_binary_delta_is_a_parse_error() {
+        let mut text = b"aig 1 0 0 0 1\n".to_vec();
+        text.extend([0xff; 6]);
+        assert_eq!(parse_error(&text), "binary delta longer than 32 bits");
     }
 
     #[test]

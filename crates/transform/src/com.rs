@@ -12,7 +12,8 @@
 //! 1. **Candidates** come from bit-parallel sequential simulation from the
 //!    initial states: gates with equal (or complemented) value signatures
 //!    form equivalence-class candidates; the constant class is seeded by
-//!    gate 0.
+//!    gate 0. The classes are one partition, refined in place by each
+//!    batch of new simulation words.
 //! 2. **Proof** is by 1-step induction, checked with two SAT queries over
 //!    the candidate classes as a whole: a *base* query (some pair differs in
 //!    an initial state?) and a *step* query (assuming all pairs equal in an
@@ -26,6 +27,8 @@
 //! Because classes must hold in every *reachable* state (base + step), the
 //! merge is sound even for pairs that differ in unreachable states: all
 //! traces of Definition 2 start in initial states.
+
+use std::collections::HashMap;
 
 use diam_netlist::rebuild::{identity_repr, rebuild, Rebuilt};
 use diam_netlist::sim::{eval_frame, next_state, simulate, SplitMix64, Stimulus};
@@ -115,20 +118,17 @@ impl Classes {
         }
     }
 
-    /// (Re)builds classes from value signatures: gates with equal signatures
-    /// share a class; complemented signatures join with inverted phase. The
-    /// representative is the lowest-indexed member. Gates whose signature is
-    /// constant 0/1 across the sample join the constant class of gate 0.
+    /// (Re)builds classes from full value signatures: gates with equal
+    /// signatures share a class; complemented signatures join with inverted
+    /// phase. The representative is the lowest-indexed member. Gates whose
+    /// signature is constant 0/1 across the sample join the constant class
+    /// of gate 0. The members kept follow the bias rule of
+    /// [`Partition::classes`].
     ///
-    /// Candidate pairs between two internal (non-register) gates are only
-    /// formed when both signals are reasonably *unbiased*: heavily skewed
-    /// signals (wide OR/AND towers that are almost always 1/0) collide in
-    /// any finite simulation sample and would each cost the induction loop a
-    /// refutation round — a classic sweeping pathology. Register pairs and
-    /// constant-class pairs are always kept; they are the merges that matter
-    /// for diameter bounding, and spurious ones die in the cheap base check.
+    /// This is the reference grouping the incremental [`Partition`] is
+    /// tested against; the engine never holds full signatures.
+    #[cfg(test)]
     fn from_signatures(n: &Netlist, sigs: &[Vec<u64>], restrict: Option<&Marks>) -> Classes {
-        use std::collections::HashMap;
         let mut first: HashMap<&[u64], (Gate, bool)> = HashMap::new();
         let mut cand: Vec<Lit> = n.gates().map(Gate::lit).collect();
         // Bias per gate: fraction of sampled bits that are 1.
@@ -196,12 +196,128 @@ impl Classes {
             })
             .collect()
     }
+}
 
-    fn is_empty(&self) -> bool {
-        self.cand
-            .iter()
-            .enumerate()
-            .all(|(i, &rep)| rep.gate() == Gate::from_index(i))
+/// Candidate partition from simulation, refined in place batch by batch.
+///
+/// A gate's *canonical signature* is every word simulated into it so far,
+/// complemented when bit 0 of its first word is 1. Each group holds two or
+/// more gates, in index order, with equal canonical signatures. Signatures
+/// only grow, so grouping by the whole signature after a batch is exactly
+/// the previous grouping split by the batch's words alone: each batch
+/// refines the groups and is then discarded. A gate left alone in its group
+/// can never rejoin one, so it is dropped and never receives words again.
+/// Memory is O(grouped gates × one batch), not O(gates × all words).
+struct Partition {
+    groups: Vec<Vec<Gate>>,
+    /// Pending batch per grouped gate, in canonical phase.
+    batch: Vec<Vec<u64>>,
+    /// Canonical phase per gate, fixed by bit 0 of its first word.
+    flip: Vec<bool>,
+    /// Running popcount of each grouped gate's canonical words.
+    ones: Vec<u64>,
+    /// Words per grouped gate so far, the pending batch included.
+    words: u64,
+}
+
+impl Partition {
+    /// One group: gate 0, which always seeds the constant class, and every
+    /// gate of `cone`.
+    fn new(n: &Netlist, cone: &Marks) -> Partition {
+        let group: Vec<Gate> = n
+            .gates()
+            .filter(|&g| g == Gate::CONST0 || cone.get(g.index()))
+            .collect();
+        Partition {
+            groups: if group.len() > 1 {
+                vec![group]
+            } else {
+                Vec::new()
+            },
+            batch: vec![Vec::new(); n.num_gates()],
+            flip: vec![false; n.num_gates()],
+            ones: vec![0; n.num_gates()],
+            words: 0,
+        }
+    }
+
+    /// Appends the next word, `word(g)`, to every grouped gate's batch.
+    fn push(&mut self, word: impl Fn(Gate) -> u64) {
+        for &g in self.groups.iter().flatten() {
+            let i = g.index();
+            let w = word(g);
+            if self.words == 0 {
+                self.flip[i] = w & 1 != 0;
+            }
+            let w = if self.flip[i] { !w } else { w };
+            self.ones[i] += u64::from(w.count_ones());
+            self.batch[i].push(w);
+        }
+        self.words += 1;
+    }
+
+    /// Splits every group by its members' pending batches, then clears the
+    /// batches and drops the groups of one.
+    fn refine(&mut self) {
+        let mut refined = Vec::with_capacity(self.groups.len());
+        let mut dropped = Vec::new();
+        {
+            let mut part_of: HashMap<&[u64], usize> = HashMap::new();
+            for group in &self.groups {
+                // Parts in order of their lowest member, each in index order.
+                let mut parts: Vec<Vec<Gate>> = Vec::new();
+                for &g in group {
+                    let k = *part_of.entry(&self.batch[g.index()]).or_insert_with(|| {
+                        parts.push(Vec::new());
+                        parts.len() - 1
+                    });
+                    parts[k].push(g);
+                }
+                part_of.clear();
+                for part in parts {
+                    if part.len() > 1 {
+                        refined.push(part);
+                    } else {
+                        dropped.push(part[0]);
+                    }
+                }
+            }
+        }
+        for g in dropped {
+            self.batch[g.index()] = Vec::new();
+        }
+        for &g in refined.iter().flatten() {
+            self.batch[g.index()].clear();
+        }
+        self.groups = refined;
+    }
+
+    /// Candidate classes: each group's lowest-index member is the
+    /// representative, and a member joins it when the representative is
+    /// gate 0, both are registers, or both signals are *unbiased*.
+    ///
+    /// Heavily skewed internal signals (wide OR/AND towers that are almost
+    /// always 1/0) collide in any finite simulation sample and would each
+    /// cost the induction loop a refutation round — a classic sweeping
+    /// pathology. Register pairs and constant-class pairs are always kept;
+    /// they are the merges that matter for diameter bounding, and spurious
+    /// ones die in the cheap base check. Bias is symmetric under complement,
+    /// so all members of a group share the representative's.
+    fn classes(&self, n: &Netlist) -> Classes {
+        let total = self.words * 64;
+        let mut cand: Vec<Lit> = n.gates().map(Gate::lit).collect();
+        for group in &self.groups {
+            let rep = group[0];
+            let ones = self.ones[rep.index()];
+            let unbiased = total > 0 && ones * 16 >= total && ones * 16 <= 15 * total;
+            for &g in &group[1..] {
+                if rep == Gate::CONST0 || (n.is_reg(g) && n.is_reg(rep)) || unbiased {
+                    // g == rep iff their phases agree.
+                    cand[g.index()] = Lit::new(rep, self.flip[g.index()] ^ self.flip[rep.index()]);
+                }
+            }
+        }
+        Classes { cand }
     }
 }
 
@@ -236,30 +352,32 @@ pub fn sweep(n: &Netlist, opts: &SweepOptions) -> SweepResult {
 
     // --- 1. Candidate classes from sequential simulation -----------------
     let coi = diam_netlist::analysis::coi(n, n.targets().iter().map(|t| t.lit));
-    let mut sigs: Vec<Vec<u64>> = vec![Vec::new(); n.num_gates()];
+    let mut partition = Partition::new(n, &coi.in_cone);
     for _ in 0..opts.sim_rounds.max(1) {
         let stim = Stimulus::random(n, opts.sim_steps.max(2), &mut rng);
         let trace = simulate(n, &stim);
-        for g in n.gates() {
-            for t in 0..trace.len() {
-                sigs[g.index()].push(trace.word(g.lit(), t));
-            }
+        for t in 0..trace.len() {
+            partition.push(|g| trace.word(g.lit(), t));
         }
+        partition.refine();
     }
-    let mut classes = Classes::from_signatures(n, &sigs, Some(&coi.in_cone));
+    let mut classes = partition.classes(n);
 
     // --- 2/3. Counterexample-guided induction -----------------------------
     let mut refinements = 0;
-    while !classes.is_empty() && refinements < opts.max_refinements {
+    while refinements < opts.max_refinements {
+        let pairs = classes.pairs();
+        if pairs.is_empty() {
+            break;
+        }
         // Per-round debug visibility is a structured event now (was a raw
         // `DIAM_SWEEP_TRACE` eprintln): the field expressions — including
         // the sample string — are only evaluated when a session records.
         diam_obs::event!(
             "com.round",
             round = refinements,
-            pairs = classes.pairs().len(),
+            pairs = pairs.len(),
             sample = {
-                let pairs = classes.pairs();
                 let sample: Vec<String> = pairs
                     .iter()
                     .rev()
@@ -276,10 +394,12 @@ pub fn sweep(n: &Netlist, opts: &SweepOptions) -> SweepResult {
                 sample.join(", ")
             }
         );
-        match check_classes(n, &classes, opts) {
+        match check_classes(n, &pairs, opts) {
             CheckOutcome::Proven => break,
             CheckOutcome::Counterexamples(cexs) => {
                 refinements += 1;
+                // One batch: every counterexample's frames and their
+                // amplification frames.
                 for Cex {
                     reg_vals,
                     input_frames,
@@ -298,9 +418,7 @@ pub fn sweep(n: &Netlist, opts: &SweepOptions) -> SweepResult {
                     let mut frame = Vec::new();
                     for inputs in &input_frames {
                         frame = eval_frame(n, &regs, inputs);
-                        for g in n.gates() {
-                            sigs[g.index()].push(frame[g.index()]);
-                        }
+                        partition.push(|g| frame[g.index()]);
                         regs = next_state(n, &frame);
                     }
                     for _ in 0..6 {
@@ -308,12 +426,11 @@ pub fn sweep(n: &Netlist, opts: &SweepOptions) -> SweepResult {
                         let inputs: Vec<u64> =
                             (0..n.num_inputs()).map(|_| rng.next_u64()).collect();
                         frame = eval_frame(n, &regs_next, &inputs);
-                        for g in n.gates() {
-                            sigs[g.index()].push(frame[g.index()]);
-                        }
+                        partition.push(|g| frame[g.index()]);
                     }
                 }
-                classes = Classes::from_signatures(n, &sigs, Some(&coi.in_cone));
+                partition.refine();
+                classes = partition.classes(n);
             }
             CheckOutcome::Budget => {
                 // Conservative: abandon sweeping rather than risk an
@@ -391,8 +508,7 @@ enum CheckOutcome {
 
 /// Checks all candidate pairs with a base and a step query; on SAT returns
 /// the distinguishing (state, inputs) valuation replicated into words.
-fn check_classes(n: &Netlist, classes: &Classes, opts: &SweepOptions) -> CheckOutcome {
-    let pairs = classes.pairs();
+fn check_classes(n: &Netlist, pairs: &[(Gate, Lit)], opts: &SweepOptions) -> CheckOutcome {
     if pairs.is_empty() {
         return CheckOutcome::Proven;
     }
@@ -462,7 +578,7 @@ fn check_classes(n: &Netlist, classes: &Classes, opts: &SweepOptions) -> CheckOu
         let mut u = Unroller::new(n, FrameZero::Free);
         // Hypothesis: equality at frames 0..depth.
         for frame in 0..depth {
-            for &(g, rep) in &pairs {
+            for &(g, rep) in pairs {
                 let a = u.lit_at(&mut solver, g.lit(), frame);
                 let b = u.lit_at(&mut solver, rep, frame);
                 solver.add_clause([!a, b]);
@@ -551,6 +667,97 @@ fn extract_frame0(n: &Netlist, u: &mut Unroller<'_>, solver: &Solver) -> (Vec<u6
 mod tests {
     use super::*;
     use diam_netlist::Init;
+    use proptest::prelude::*;
+
+    /// One case of the refiner-vs-reference proptest: a small netlist, a
+    /// cone restriction and a stream of batches of words per gate.
+    ///
+    /// Gates read a few shared sources, each in a random phase, so equal and
+    /// complemented signatures are common. A source is uniformly random, a
+    /// bias tower (the AND of 2–6 random words, so sometimes on either side
+    /// of the bias threshold) or constant. A gate may break away to private
+    /// random words from some batch on, splitting its group late. Gate 0 is
+    /// constant 0, as in simulation; the cone leaves it out half the time.
+    fn refine_against_reference(seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let mut below = |k: u64| rng.next_u64() % k;
+        let mut n = Netlist::new();
+        let mut lits = vec![Lit::TRUE];
+        for k in 0..1 + below(3) {
+            lits.push(n.input(format!("i{k}")).lit());
+        }
+        for k in 0..below(6) {
+            let r = n.reg(format!("r{k}"), Init::Zero);
+            lits.push(r.lit());
+        }
+        for _ in 0..below(10) {
+            let a = lits[below(lits.len() as u64) as usize];
+            let b = lits[below(lits.len() as u64) as usize];
+            let x = n.and(a.xor_complement(below(2) == 1), b);
+            lits.push(x);
+        }
+        let gates = n.num_gates();
+        // Source kinds: 0 random, 1 constant, k ≥ 2 an AND of k words.
+        let kinds: Vec<u64> = (0..1 + below(4)).map(|_| below(7)).collect();
+        let source: Vec<usize> = (0..gates)
+            .map(|_| below(kinds.len() as u64) as usize)
+            .collect();
+        let phase: Vec<u64> = (0..gates)
+            .map(|_| if below(2) == 1 { !0 } else { 0 })
+            .collect();
+        let batches = 1 + below(5);
+        let breakaway: Vec<u64> = (0..gates).map(|_| below(batches + 3)).collect();
+        let mut cone = Marks::new(gates);
+        for g in 0..gates {
+            let inside = if g == 0 { below(2) == 0 } else { below(4) != 0 };
+            if inside {
+                cone.set(g);
+            }
+        }
+
+        let mut partition = Partition::new(&n, &cone);
+        let mut sigs: Vec<Vec<u64>> = vec![Vec::new(); gates];
+        for b in 0..batches {
+            for _ in 0..1 + below(4) {
+                let src: Vec<u64> = kinds
+                    .iter()
+                    .map(|&k| match k {
+                        0 => below(u64::MAX),
+                        1 => 0,
+                        k => (0..k).fold(!0, |w, _| w & below(u64::MAX)),
+                    })
+                    .collect();
+                let words: Vec<u64> = (0..gates)
+                    .map(|g| match g {
+                        0 => 0,
+                        g if b >= breakaway[g] => below(u64::MAX),
+                        g => src[source[g]] ^ phase[g],
+                    })
+                    .collect();
+                for (sig, &w) in sigs.iter_mut().zip(&words) {
+                    sig.push(w);
+                }
+                partition.push(|g| words[g.index()]);
+            }
+            partition.refine();
+            assert_eq!(
+                partition.classes(&n).cand,
+                Classes::from_signatures(&n, &sigs, Some(&cone)).cand,
+                "seed {seed:#x}, batch {b}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// After every batch, the incrementally refined partition yields the
+        /// same candidate classes as grouping the full signatures afresh.
+        #[test]
+        fn refined_partition_matches_full_signature_grouping(seed in any::<u64>()) {
+            refine_against_reference(seed);
+        }
+    }
 
     fn cosim_equal(a: &Netlist, b: &Netlist, res: &SweepResult, probes: &[Lit], steps: usize) {
         let mut rng = SplitMix64::new(77);

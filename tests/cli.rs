@@ -260,3 +260,28 @@ fn closed_stdout_exits_quietly() {
         crash_dir.display()
     );
 }
+
+#[test]
+fn out_of_range_and_is_a_parse_error() {
+    let dir = std::env::temp_dir();
+    let f = fixture(
+        &dir,
+        "diam_cli_and_out_of_range.aag",
+        "aag 1 0 0 0 1\n10 0 0\n",
+    );
+    let crash_dir = dir.join(format!("diam_cli_parse_crash_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&crash_dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_diam"))
+        .args(["bound", f.to_str().unwrap()])
+        .env("DIAM_CRASH_DIR", &crash_dir)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("and var out of range"), "{stderr}");
+    assert!(
+        !crash_dir.exists(),
+        "crash dump written to {}",
+        crash_dir.display()
+    );
+}
