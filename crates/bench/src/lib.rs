@@ -155,15 +155,7 @@ pub fn parse_cli(usage: &str) -> BenchCli {
             fail(&format!("unrecognized argument `{arg}`"));
         }
     }
-    // `--trace-out` without a recording mode means the user wants the trace:
-    // promote to `json` rather than silently writing nothing. Likewise
-    // `--live-out` alone means the user wants the live stream.
-    if cli.obs.trace_out.is_some() && cli.obs.mode.is_off() {
-        cli.obs.mode = ObsMode::Json;
-    }
-    if cli.obs.live_out.is_some() && cli.obs.mode.is_off() {
-        cli.obs.mode = ObsMode::Live;
-    }
+    cli.obs.promote_mode_from_outputs();
     cli
 }
 

@@ -176,13 +176,16 @@ fn select_cube_lits(
 /// Solves the depth-`depth` obligation of `target` by cube-and-conquer:
 /// every cube UNSAT is `Unsat`, a SAT cube is `Sat` with the witness from
 /// the winning worker's model, and otherwise the depth is `Unknown`.
+/// Returns `None` when the cone has no state variables to split on; the
+/// caller then solves the depth monolithically.
 ///
 /// The base incremental `solver`/`unroller` pair is mutated only by
 /// encoding (the obligation literal and the cube frame); the search runs on
-/// per-cube clones, so the base solver's clause database is untouched and
-/// the caller's depth loop continues as if a monolithic solve had returned.
-/// `parent` chains the cube group under the caller's cancellation scope:
-/// cancelling the parent cancels every outstanding cube.
+/// per-cube clones, so the
+/// base solver's clause database is untouched and the caller's depth loop
+/// continues as if a monolithic solve had returned. `parent` chains the
+/// cube group under the caller's cancellation scope: cancelling the parent
+/// cancels every outstanding cube.
 pub(crate) fn solve_depth_cubes(
     n: &Netlist,
     solver: &mut Solver,
@@ -191,15 +194,11 @@ pub(crate) fn solve_depth_cubes(
     depth: u64,
     parent: Option<&CancelToken>,
     opts: &BmcOptions,
-) -> (SolveResult, Option<Witness>) {
+) -> Option<(SolveResult, Option<Witness>)> {
     let obligation = unroller.lit_at(solver, target, depth as usize);
     let cube_lits = select_cube_lits(n, solver, unroller, target, depth, opts.cube.vars);
     if cube_lits.is_empty() {
-        // No state variables to split on: monolithic fallback.
-        let r = solve_traced(solver, &[obligation], depth);
-        let w =
-            (r == SolveResult::Sat).then(|| extract_witness(n, unroller, solver, depth as usize));
-        return (r, w);
+        return None;
     }
     let k = cube_lits.len() as u32;
     let ncubes = 1usize << k;
@@ -316,7 +315,7 @@ pub(crate) fn solve_depth_cubes(
         solver.mark_cube_refuted();
     }
     sp.record("refuted", refuted);
-    if let Some(winner) = sat {
+    Some(if let Some(winner) = sat {
         sp.record("outcome", "sat");
         let witness = extract_witness(n, unroller, &winner, depth as usize);
         (SolveResult::Sat, Some(witness))
@@ -326,5 +325,5 @@ pub(crate) fn solve_depth_cubes(
     } else {
         sp.record("outcome", "unsat");
         (SolveResult::Unsat, None)
-    }
+    })
 }

@@ -16,10 +16,11 @@
 //!
 //! Every one of these runs its bounded search through one private depth
 //! loop: one target, one netlist (the original or a cone slice), depths
-//! `lo..=hi`, one fresh incremental solver. Each counterexample it returns
-//! has been replayed on the caller's netlist, in release builds too; a
-//! witness that fails the replay becomes `Unknown` and emits a
-//! `verdict.replay_failed` event.
+//! `0..=max_depth`, one fresh incremental solver. [`check_all`] and
+//! [`prove_all`] fan out one cone-sliced job per target through it. Each
+//! counterexample it returns has been replayed on the caller's netlist, in
+//! release builds too; a witness that fails the replay becomes `Unknown`
+//! and emits a `verdict.replay_failed` event.
 //!
 //! ## Example
 //!
@@ -52,11 +53,15 @@ use diam_core::{Bound, Pipeline, StructuralOptions};
 use diam_netlist::rebuild::{slice_target, Rebuilt};
 use diam_netlist::sim::Witness;
 use diam_netlist::{Init, Lit, Netlist};
-use diam_par::{CancelToken, Frontier, Parallelism};
+use diam_par::{CancelToken, Parallelism};
 use diam_sat::{Lit as SatLit, SolveResult, Solver};
 use diam_transform::unroll::{FrameZero, Unroller};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
+
+/// The default depth cap of every proof front end — [`ProveOptions`],
+/// [`strategy::StrategyOptions`] and the `diam` CLI's `--depth-cap`: a
+/// diameter bound above it is reported rather than searched.
+pub const DEFAULT_DEPTH_CAP: u64 = 10_000;
 
 /// `solve_with` plus observability: when a session records, the per-call
 /// [`SolverStats`](diam_sat::SolverStats) delta is charged to the current
@@ -132,7 +137,12 @@ fn solve_depth(
     opts: &BmcOptions,
 ) -> (SolveResult, Option<Witness>) {
     if cube::applicable(opts, depth) {
-        return cube::solve_depth_cubes(n, solver, unroller, target, depth, token, opts);
+        // `None`: no state variables to split on, solve monolithically.
+        if let Some(decided) =
+            cube::solve_depth_cubes(n, solver, unroller, target, depth, token, opts)
+        {
+            return decided;
+        }
     }
     let lit = unroller.lit_at(solver, target, depth as usize);
     let r = solve_traced(solver, &[lit], depth);
@@ -173,16 +183,6 @@ pub struct BmcOptions {
     /// and outcomes merge in original target order, so [`check_all`]'s
     /// output (witnesses included) is bit-identical at every setting.
     pub parallelism: Parallelism,
-    /// Splits each target's depth range `0..=max_depth` into [`check_all`]
-    /// work units of this many depths (0 = one unit per target). A unit that
-    /// learns — via a shared per-target frontier — that a strictly shallower
-    /// unit already hit (or gave up) stops early without changing the merged
-    /// outcome. Each unit starts its own solver, so hit depths never depend
-    /// on the chunk size, while the witness for a hit may.
-    pub depth_chunk: u64,
-    /// Diagnostic: counts the depths [`check_all`] hands to the solver (used
-    /// by tests to observe early cancellation).
-    pub solve_probe: Option<Arc<AtomicUsize>>,
     /// Cube-and-conquer splitting of deep per-depth obligations; see
     /// [`cube::CubeOptions`]. Off by default.
     pub cube: CubeOptions,
@@ -201,8 +201,6 @@ impl Default for BmcOptions {
             max_depth: 100,
             conflict_budget: None,
             parallelism: Parallelism::Sequential,
-            depth_chunk: 0,
-            solve_probe: None,
             cube: CubeOptions::default(),
             portfolio: 0,
         }
@@ -235,68 +233,25 @@ pub enum BmcOutcome {
 ///
 /// Panics if `index` is out of range.
 pub fn check(n: &Netlist, index: usize, opts: &BmcOptions) -> BmcOutcome {
-    depth_loop(n, index, None, (0, opts.max_depth), None, opts, |_| true).into_bmc(opts.max_depth)
+    depth_loop(n, index, None, None, opts).into_bmc(opts.max_depth)
 }
 
 /// Runs BMC on *every* target.
 ///
-/// Each target's cone of influence is sliced into an independent job (fresh
-/// solver, no shared state), each target's depth range is optionally split
-/// into [`BmcOptions::depth_chunk`]-sized work units, and the units fan out
-/// across [`BmcOptions::parallelism`] workers, largest cone first. Witnesses
-/// found on a slice are lifted back to the original netlist's inputs.
-/// Per-target outcomes are merged in original target order; because the
-/// same job code runs in every mode, the output (witnesses included) is
+/// Each target is one independent job (fresh solver, no shared state): its
+/// cone of influence is sliced out, searched over depths `0..=max_depth`,
+/// and a witness found on the slice is lifted back to the original
+/// netlist's inputs. The jobs fan out across [`BmcOptions::parallelism`]
+/// workers, largest cone first, and merge in original target order; because
+/// the same job code runs in every mode, the output (witnesses included) is
 /// bit-identical at every `Parallelism` setting.
 pub fn check_all(n: &Netlist, opts: &BmcOptions) -> Vec<BmcOutcome> {
-    let ntargets = n.targets().len();
-    // Slices are immutable inputs shared by all units of a target.
-    let slices: Vec<Rebuilt> = (0..ntargets).map(|i| slice_target(n, i)).collect();
-    let frontiers: Vec<Frontier> = (0..ntargets).map(|_| Frontier::new()).collect();
-
-    let chunk = if opts.depth_chunk == 0 {
-        opts.max_depth.saturating_add(1).max(1)
-    } else {
-        opts.depth_chunk
-    };
-    let mut units: Vec<ChunkUnit> = Vec::new();
-    for target in 0..ntargets {
-        let mut lo = 0u64;
-        loop {
-            let hi = lo.saturating_add(chunk - 1).min(opts.max_depth);
-            units.push(ChunkUnit { target, lo, hi });
-            if hi >= opts.max_depth {
-                break;
-            }
-            lo = hi + 1;
-        }
-    }
-    let meta = units.clone();
-
-    let results = diam_par::run(
+    fan_out(
+        n,
         opts.parallelism,
-        units,
-        // Largest cone × longest range first: the presumptive long pole.
-        |u| (slices[u.target].netlist.num_gates() as u64 + 1).saturating_mul(u.hi - u.lo + 1),
-        |_, u, token| run_chunk(n, &slices[u.target], &frontiers[u.target], u, token, opts),
-    );
-
-    // Merge: scan each target's units in ascending depth order; the first
-    // event wins. Early stopping cannot change this — a unit only stops when
-    // a *strictly shallower* unit has recorded an event, and that unit is
-    // scanned first. A `Stopped` unit is only reached when the caller's
-    // token was cancelled, and then reads as `Unknown` at its depth.
-    let mut outcomes: Vec<Option<BmcOutcome>> = vec![None; ntargets];
-    for (u, outcome) in meta.into_iter().zip(results) {
-        let slot = &mut outcomes[u.target];
-        if slot.is_none() && !matches!(outcome, LoopOutcome::Clean) {
-            *slot = Some(outcome.into_bmc(opts.max_depth));
-        }
-    }
-    outcomes
-        .into_iter()
-        .map(|o| o.unwrap_or(BmcOutcome::NoHitUpTo(opts.max_depth)))
-        .collect()
+        |_| Some(opts.max_depth),
+        |i, token| sliced_job(n, i, token, opts).into_bmc(opts.max_depth),
+    )
 }
 
 /// Runs BMC on every target *through* a transformation pipeline: the search
@@ -410,7 +365,7 @@ enum LoopOutcome {
     Unknown { depth: u64 },
     /// Every depth in the loop's range is unreachable.
     Clean,
-    /// `before_solve` stopped the loop before it solved depth `at`.
+    /// The caller's token was cancelled before depth `at` was solved.
     Stopped { at: u64 },
 }
 
@@ -429,37 +384,31 @@ impl LoopOutcome {
 }
 
 /// The one BMC depth loop every obligation runs through: target `index` of
-/// `n` over depths `lo..=hi`, with a fresh solver and unroller.
+/// `n` over depths `0..=opts.max_depth`, with a fresh solver and unroller.
 ///
 /// With a `slice` (a cone slice of `n` from [`slice_target`]) the search
-/// runs on the slice and each witness is lifted back to `n`. Frames below
-/// `lo` are encoded but not solved. At every depth the loop asks
-/// `before_solve(depth)` first (`false` stops it), then solves the depth
-/// (through the cube layer when enabled; `token` scopes any cube group) and
-/// lets the solver clean up after each UNSAT. Every counterexample is
-/// replayed on `n` before it is returned — in release builds too — and one
-/// that fails becomes `Unknown` at its depth.
+/// runs on the slice and each witness is lifted back to `n`. Before every
+/// depth the loop stops if `token` is cancelled; otherwise it solves the
+/// depth (through the cube layer when enabled; `token` scopes any cube
+/// group) and lets the solver clean up after each UNSAT. Every
+/// counterexample is replayed on `n` before it is returned — in release
+/// builds too — and one that fails becomes `Unknown` at its depth.
 fn depth_loop(
     n: &Netlist,
     index: usize,
     slice: Option<&Rebuilt>,
-    (lo, hi): (u64, u64),
     token: Option<&CancelToken>,
     opts: &BmcOptions,
-    mut before_solve: impl FnMut(u64) -> bool,
 ) -> LoopOutcome {
-    let mut sp = diam_obs::span!("bmc.check", index = index, lo = lo, max_depth = hi);
+    let mut sp = diam_obs::span!("bmc.check", index = index, max_depth = opts.max_depth);
     let (searched, target) = match slice {
         Some(s) => (&s.netlist, s.netlist.targets()[0].lit),
         None => (n, n.targets()[index].lit),
     };
     let mut solver = new_solver(opts);
     let mut unroller = Unroller::new(searched, FrameZero::Init);
-    for depth in 0..lo {
-        unroller.lit_at(&mut solver, target, depth as usize);
-    }
-    for depth in lo..=hi {
-        if !before_solve(depth) {
+    for depth in 0..=opts.max_depth {
+        if token.is_some_and(CancelToken::is_cancelled) {
             sp.record("outcome", "stopped");
             return LoopOutcome::Stopped { at: depth };
         }
@@ -517,47 +466,38 @@ fn replays(n: &Netlist, index: usize, witness: &Witness, depth: u64) -> bool {
     ok
 }
 
-/// One [`check_all`] work unit: depths `lo..=hi` of target `target`.
-#[derive(Debug, Clone, Copy)]
-struct ChunkUnit {
-    target: usize,
-    lo: u64,
-    hi: u64,
+/// The one sliced BMC job behind [`check_all`] and [`prove_all`]: target
+/// `index` searched on its cone slice over depths `0..=opts.max_depth`,
+/// stopping once the fan-out's `token` is cancelled; a witness comes back
+/// lifted to `n`.
+fn sliced_job(n: &Netlist, index: usize, token: &CancelToken, opts: &BmcOptions) -> LoopOutcome {
+    let slice = slice_target(n, index);
+    depth_loop(n, index, Some(&slice), Some(token), opts)
 }
 
-/// Runs one [`check_all`] unit on its target's cone slice. The unit stops
-/// early once the run is cancelled or a strictly shallower unit of the same
-/// target has recorded an event in `frontier`, and records its own hit (or
-/// budget expiry) there.
-fn run_chunk(
+/// Runs `job(i, token)` for every target `i` of `n` on [`diam_par::run`] and
+/// returns the results in target order. The one cost function schedules
+/// the presumptive long pole first: a job that searches depths
+/// `0..=last(i)` weighs its cone size times its depth count, and one that
+/// never reaches BMC (`last(i) = None`) weighs nothing.
+fn fan_out<R: Send>(
     n: &Netlist,
-    slice: &Rebuilt,
-    frontier: &Frontier,
-    u: ChunkUnit,
-    token: &CancelToken,
-    opts: &BmcOptions,
-) -> LoopOutcome {
-    let outcome = depth_loop(
-        n,
-        u.target,
-        Some(slice),
-        (u.lo, u.hi),
-        Some(token),
-        opts,
-        |depth| {
-            if token.is_cancelled() || frontier.superseded(depth) {
-                return false;
-            }
-            if let Some(probe) = &opts.solve_probe {
-                probe.fetch_add(1, Ordering::AcqRel);
-            }
-            true
+    par: Parallelism,
+    last: impl Fn(usize) -> Option<u64>,
+    job: impl Fn(usize, &CancelToken) -> R + Sync,
+) -> Vec<R> {
+    diam_par::run(
+        par,
+        (0..n.targets().len()).collect(),
+        |&i| {
+            last(i).map_or(0, |d| {
+                let cone = diam_netlist::analysis::coi(n, [n.targets()[i].lit]);
+                (cone.regs.len() as u64 + cone.inputs.len() as u64 + 1)
+                    .saturating_mul(d.saturating_add(1))
+            })
         },
-    );
-    if let LoopOutcome::Cex { depth, .. } | LoopOutcome::Unknown { depth } = outcome {
-        frontier.record(depth);
-    }
-    outcome
+        |_, i, token| job(i, token),
+    )
 }
 
 /// Lifts a witness for a cone slice back to the original netlist: every
@@ -767,12 +707,12 @@ pub fn k_induction_with_invariants(
 }
 
 /// Options for [`prove`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ProveOptions {
     /// Structural-bounding options.
     pub structural: StructuralOptions,
-    /// Refuse to run BMC beyond this depth even when the diameter bound is
-    /// finite (0 = no cap).
+    /// Refuse to run BMC when the finite diameter bound exceeds this depth
+    /// (0 = no cap; default [`DEFAULT_DEPTH_CAP`]).
     pub depth_cap: u64,
     /// SAT conflict budget per BMC depth.
     pub conflict_budget: Option<u64>,
@@ -788,6 +728,19 @@ pub struct ProveOptions {
     pub cube: CubeOptions,
     /// Portfolio seed for the BMC solvers (see [`BmcOptions::portfolio`]).
     pub portfolio: u64,
+}
+
+impl Default for ProveOptions {
+    fn default() -> ProveOptions {
+        ProveOptions {
+            structural: StructuralOptions::default(),
+            depth_cap: DEFAULT_DEPTH_CAP,
+            conflict_budget: None,
+            parallelism: Parallelism::Sequential,
+            cube: CubeOptions::default(),
+            portfolio: 0,
+        }
+    }
 }
 
 /// Outcome of a complete, diameter-bounded check.
@@ -822,7 +775,7 @@ pub enum ProveOutcome {
 /// target's cone, so the result is a proof.
 pub fn prove(n: &Netlist, index: usize, pipeline: &Pipeline, opts: &ProveOptions) -> ProveOutcome {
     let bounds = pipeline.bound_targets(n, &opts.structural);
-    prove_target(n, index, bounds[index].original, false, None, opts)
+    prove_target(n, index, bounds[index].original, None, opts)
 }
 
 /// Runs [`prove`] on every target, sharing the pipeline run and bounding
@@ -839,48 +792,37 @@ pub fn prove_all(n: &Netlist, pipeline: &Pipeline, opts: &ProveOptions) -> Vec<P
     let mut structural = opts.structural.clone();
     structural.parallelism = opts.parallelism;
     let bounds = pipeline.bound_targets(n, &structural);
-    diam_par::run(
+    fan_out(
+        n,
         opts.parallelism,
-        (0..bounds.len()).collect(),
-        |&i| match bmc_bound(bounds[i].original, opts) {
-            Ok(bound) => {
-                let cone = diam_netlist::analysis::coi(n, [n.targets()[i].lit]);
-                (cone.regs.len() as u64 + cone.inputs.len() as u64 + 1).saturating_mul(bound.max(1))
-            }
-            Err(_) => 0,
-        },
-        |_, i, token| prove_target(n, i, bounds[i].original, true, Some(token), opts),
+        |i| bmc_bound(bounds[i].original, opts.depth_cap).map(|b| b.saturating_sub(1)),
+        |i, token| prove_target(n, i, bounds[i].original, Some(token), opts),
     )
 }
 
-/// The bound a proof obligation runs BMC against: `Ok(d̂)` when `bound` is
-/// finite and within [`ProveOptions::depth_cap`], otherwise the
-/// `BoundTooLarge` verdict.
-fn bmc_bound(bound: Bound, opts: &ProveOptions) -> Result<u64, ProveOutcome> {
-    match bound {
-        Bound::Exponential => Err(ProveOutcome::BoundTooLarge { bound: None }),
-        Bound::Finite(b) if opts.depth_cap != 0 && b > opts.depth_cap => {
-            Err(ProveOutcome::BoundTooLarge { bound: Some(b) })
-        }
-        Bound::Finite(b) => Ok(b),
-    }
+/// The depth bound a proof obligation runs BMC against: `Some(d̂)` when
+/// `bound` is finite and within `depth_cap` (0 = no cap), otherwise `None`
+/// — the target's bound is too large to discharge.
+pub(crate) fn bmc_bound(bound: Bound, depth_cap: u64) -> Option<u64> {
+    bound.finite().filter(|&b| depth_cap == 0 || b <= depth_cap)
 }
 
 /// The one proof obligation behind [`prove`] and [`prove_all`]: target
 /// `index` with back-translated bound `bound` is `BoundTooLarge`, or BMC to
-/// `d̂ − 1` decides it — on the target's cone slice when `sliced`. A set
-/// `token` stops the BMC run once cancelled.
+/// `d̂ − 1` decides it — as the [sliced job](sliced_job) under `token` when
+/// one is given (the `prove_all` fan-out), on the original netlist
+/// otherwise.
 fn prove_target(
     n: &Netlist,
     index: usize,
     bound: Bound,
-    sliced: bool,
     token: Option<&CancelToken>,
     opts: &ProveOptions,
 ) -> ProveOutcome {
-    let bound = match bmc_bound(bound, opts) {
-        Ok(b) => b,
-        Err(too_large) => return too_large,
+    let Some(bound) = bmc_bound(bound, opts.depth_cap) else {
+        return ProveOutcome::BoundTooLarge {
+            bound: bound.finite(),
+        };
     };
     let mut sp = diam_obs::span!(
         "prove.target",
@@ -895,11 +837,11 @@ fn prove_target(
         portfolio: opts.portfolio,
         ..BmcOptions::default()
     };
-    let slice = sliced.then(|| slice_target(n, index));
-    let depths = (0, bmc.max_depth);
-    match depth_loop(n, index, slice.as_ref(), depths, token, &bmc, |_| {
-        !token.is_some_and(CancelToken::is_cancelled)
-    }) {
+    let outcome = match token {
+        Some(token) => sliced_job(n, index, token, &bmc),
+        None => depth_loop(n, index, None, None, &bmc),
+    };
+    match outcome {
         LoopOutcome::Cex { depth, witness } => {
             sp.record("outcome", "cex");
             ProveOutcome::Counterexample { depth, witness }

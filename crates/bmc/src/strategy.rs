@@ -23,10 +23,10 @@
 //! 6. otherwise the target is reported open, with its bound as diagnosis.
 
 use crate::{
-    check, check_one_transformed, k_induction_with_invariants, random_search_many, BmcOptions,
-    BmcOutcome, InductionOutcome, RandomSearchOptions,
+    bmc_bound, check, check_one_transformed, k_induction_with_invariants, random_search_many,
+    BmcOptions, BmcOutcome, InductionOutcome, RandomSearchOptions, DEFAULT_DEPTH_CAP,
 };
-use diam_core::{Bound, Pipeline, StructuralOptions};
+use diam_core::{Pipeline, StructuralOptions};
 use diam_netlist::sim::Witness;
 use diam_netlist::Netlist;
 use diam_transform::com::{sweep, SweepOptions};
@@ -96,7 +96,9 @@ pub struct StrategyOptions {
     pub sweep: SweepOptions,
     /// The transformation pipeline for diameter bounding (engine 3).
     pub pipeline: Pipeline,
-    /// Refuse complete BMC beyond this depth (0 = unlimited).
+    /// Refuse complete BMC when the finite diameter bound exceeds this depth
+    /// (0 = no cap; default [`DEFAULT_DEPTH_CAP`]), as
+    /// [`ProveOptions::depth_cap`](crate::ProveOptions::depth_cap) does.
     pub depth_cap: u64,
     /// Run symbolic reachability when the target's cone has at most this
     /// many registers (0 disables the engine).
@@ -116,7 +118,7 @@ impl Default for StrategyOptions {
             random: RandomSearchOptions::default(),
             sweep: SweepOptions::default(),
             pipeline: Pipeline::com_ret_com(),
-            depth_cap: 256,
+            depth_cap: DEFAULT_DEPTH_CAP,
             symbolic_reg_cap: 40,
             max_induction: 3,
             structural: StructuralOptions {
@@ -164,27 +166,25 @@ pub fn solve_all(n: &Netlist, opts: &StrategyOptions) -> Vec<TargetStatus> {
             // certificate chain. Falls back to the original netlist for
             // multiplicative chains or failed lifts.
             let bound = bounds[i].original;
-            if let Bound::Finite(b) = bound {
-                if opts.depth_cap == 0 || b <= opts.depth_cap {
-                    let bmc = BmcOptions {
-                        max_depth: b.saturating_sub(1),
-                        ..BmcOptions::default()
-                    };
-                    match check_one_transformed(n, &pipelined, i, &bmc) {
-                        BmcOutcome::Counterexample { depth, witness } => {
-                            return TargetStatus::Failed {
-                                depth,
-                                witness,
-                                by: Engine::DiameterBmc,
-                            };
-                        }
-                        BmcOutcome::NoHitUpTo(_) => {
-                            return TargetStatus::Proved {
-                                by: Engine::DiameterBmc,
-                            };
-                        }
-                        BmcOutcome::Unknown { .. } => {}
+            if let Some(b) = bmc_bound(bound, opts.depth_cap) {
+                let bmc = BmcOptions {
+                    max_depth: b.saturating_sub(1),
+                    ..BmcOptions::default()
+                };
+                match check_one_transformed(n, &pipelined, i, &bmc) {
+                    BmcOutcome::Counterexample { depth, witness } => {
+                        return TargetStatus::Failed {
+                            depth,
+                            witness,
+                            by: Engine::DiameterBmc,
+                        };
                     }
+                    BmcOutcome::NoHitUpTo(_) => {
+                        return TargetStatus::Proved {
+                            by: Engine::DiameterBmc,
+                        };
+                    }
+                    BmcOutcome::Unknown { .. } => {}
                 }
             }
             // 4. Symbolic reachability on small-enough cones. The fixpoint

@@ -146,24 +146,6 @@ fn seeded_lines() -> String {
         for (i, o) in all.iter().enumerate() {
             push("check_all", d, i, bmc_line(o));
         }
-        // Depth chunks start solvers past depth 0 (earlier frames encoded,
-        // not solved); the chunked vector is its own reference.
-        let chunked = BmcOptions {
-            depth_chunk: 3,
-            ..bmc.clone()
-        };
-        let seq = check_all(n, &chunked);
-        let par = check_all(
-            n,
-            &BmcOptions {
-                parallelism: Parallelism::Threads(2),
-                ..chunked
-            },
-        );
-        assert_eq!(seq, par, "design {d}: chunked check_all");
-        for (i, o) in seq.iter().enumerate() {
-            push("check_all_chunked", d, i, bmc_line(o));
-        }
         for (i, o) in check_all_transformed(n, &pipeline, &bmc).iter().enumerate() {
             push("check_all_transformed", d, i, bmc_line(o));
         }

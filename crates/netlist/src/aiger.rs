@@ -59,6 +59,18 @@ fn prealloc<T>(count: u32) -> Vec<T> {
     Vec::with_capacity((count as usize).min(1 << 20))
 }
 
+/// The most variables (`M`) a binary (`aig`) header may declare.
+///
+/// Binary inputs are implicit: `aig 1000000000 1000000000 0 0 0` is 32
+/// bytes yet asks the reader to build 10⁹ input gates, and each costs about
+/// 300 bytes of netlist (a 2M-input header peaks near 0.6 GB in
+/// `diam bound`). 2^22 ≈ 4.2M variables is four times the largest design
+/// this workspace generates — the 1M-gate `large` archetype that the
+/// release netlist smoke round-trips through binary AIGER — and caps the
+/// memory a header alone can demand at about 1.2 GB. ASCII files list every
+/// input and latch explicitly, so their size already bounds the work.
+pub const MAX_BINARY_VARS: u32 = 1 << 22;
+
 /// Reads an ASCII (`aag`) or binary (`aig`) AIGER file into a [`Netlist`].
 ///
 /// Outputs become targets (named from the symbol table when present,
@@ -74,7 +86,9 @@ fn prealloc<T>(count: u32) -> Vec<T> {
 ///
 /// # Errors
 ///
-/// Returns [`AigerError`] on I/O failure or malformed input.
+/// Returns [`AigerError`] on I/O failure or malformed input, and
+/// [`AigerError::Parse`] for a binary header that declares more than
+/// [`MAX_BINARY_VARS`] variables.
 pub fn read<R: BufRead>(mut reader: R) -> Result<Netlist, AigerError> {
     let mut header = String::new();
     reader.read_line(&mut header)?;
@@ -191,7 +205,12 @@ fn read_symbols<R: BufRead>(reader: &mut R, hdr: Header) -> Result<Symbols, Aige
 /// variable→literal table grows by exactly one entry per construction step
 /// and every AND can be built as soon as its two deltas are decoded.
 fn read_binary<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerError> {
-    let Header { i, l, o, a, b, .. } = hdr;
+    let Header { m, i, l, o, a, b } = hdr;
+    if m > MAX_BINARY_VARS {
+        return Err(parse_err(format!(
+            "binary header declares {m} variables, over the limit of {MAX_BINARY_VARS}"
+        )));
+    }
     let mut n = Netlist::new();
     // Dense var -> literal table; index k is AIGER variable k.
     let mut var_lit: Vec<Lit> = prealloc(i + l + a + 1);
@@ -726,6 +745,21 @@ mod tests {
         // Counts the input does not back end at the end of the file.
         assert!(read(&b"aig 2000000000 0 0 4000000000 2000000000\n"[..]).is_err());
         assert!(read(&b"aag 2000000000 0 2000000000 0 0\n2 2\n"[..]).is_err());
+    }
+
+    #[test]
+    fn binary_headers_over_the_variable_limit_fail_fast() {
+        // 32 bytes declaring 10⁹ implicit inputs: rejected before a single
+        // gate is built (reading them would take hundreds of gigabytes).
+        assert_eq!(
+            parse_error(b"aig 1000000000 1000000000 0 0 0\n"),
+            format!(
+                "binary header declares 1000000000 variables, over the limit of {MAX_BINARY_VARS}"
+            )
+        );
+        // A header at the limit is read as usual.
+        let at_limit = format!("aig {MAX_BINARY_VARS} 0 0 0 0\n");
+        assert_eq!(read(at_limit.as_bytes()).unwrap().num_gates(), 1);
     }
 
     #[test]

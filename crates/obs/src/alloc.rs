@@ -191,14 +191,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Serializes tests that toggle the process-global accounting flag.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,7 +199,7 @@ mod tests {
     // installing it process-wide belongs to binaries, not to unit tests.
     #[test]
     fn counts_alloc_free_pairs_when_enabled() {
-        let _serial = test_lock();
+        let _serial = crate::test_serial();
         let a = CountingAlloc::new();
         let layout = Layout::from_size_align(256, 8).unwrap();
         set_mem_enabled(true);
@@ -232,7 +224,7 @@ mod tests {
 
     #[test]
     fn disabled_accounting_leaves_totals_untouched() {
-        let _serial = test_lock();
+        let _serial = crate::test_serial();
         let a = CountingAlloc::new();
         let layout = Layout::from_size_align(64, 8).unwrap();
         set_mem_enabled(false);

@@ -399,9 +399,9 @@ mod tests {
 
     #[test]
     fn span_stack_tracks_open_and_close() {
-        // Sessions reset the span-stack epoch; hold the install lock so a
-        // concurrently running session test cannot clear our stack mid-test.
-        let _serial = crate::unpoison(crate::INSTALL.lock());
+        // Sessions reset the span-stack epoch; serialize with the session
+        // tests so none can clear our stack mid-test.
+        let _serial = crate::test_serial();
         reset_span_stacks();
         on_span_open(101, "crash.test.outer", "target=1".to_string());
         on_span_open(102, "crash.test.inner", String::new());
@@ -422,7 +422,7 @@ mod tests {
 
     #[test]
     fn worker_panic_writes_a_schema_valid_dump() {
-        let _serial = crate::unpoison(crate::INSTALL.lock());
+        let _serial = crate::test_serial();
         let dir = std::env::temp_dir().join(format!("diam_crash_unit_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         set_crash_dir(Some(dir.clone()));

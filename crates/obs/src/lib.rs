@@ -177,6 +177,24 @@ pub struct ObsConfig {
     pub live_out: Option<PathBuf>,
 }
 
+impl ObsConfig {
+    /// Applies the front ends' one promotion rule: an output path without a
+    /// recording mode means the user wants that output, so rather than
+    /// silently writing nothing, `trace_out` turns an off mode into
+    /// [`ObsMode::Json`] and, failing that, `live_out` turns it into
+    /// [`ObsMode::Live`]. A mode chosen explicitly is kept.
+    pub fn promote_mode_from_outputs(&mut self) {
+        if !self.mode.is_off() {
+            return;
+        }
+        if self.trace_out.is_some() {
+            self.mode = ObsMode::Json;
+        } else if self.live_out.is_some() {
+            self.mode = ObsMode::Live;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Values, fields, events
 // ---------------------------------------------------------------------------
@@ -476,6 +494,17 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static EPOCH: AtomicU64 = AtomicU64::new(0);
 static RECORDER: Mutex<Option<Arc<Recorder>>> = Mutex::new(None);
 static INSTALL: Mutex<()> = Mutex::new(());
+
+/// Serializes the unit tests that touch process-global recording state:
+/// every test that installs a [`Session`], asserts that none is installed,
+/// or toggles allocator accounting holds this lock for its whole body. The
+/// test runner is multi-threaded, and [`Session::install`]'s own lock only
+/// covers a session's lifetime, not a test's checks before or after it.
+#[cfg(test)]
+pub(crate) fn test_serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    unpoison(SERIAL.lock())
+}
 
 fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
@@ -1613,6 +1642,7 @@ mod tests {
 
     #[test]
     fn disabled_hooks_are_noops() {
+        let _serial = test_serial();
         // No session: nothing records, guards are inert.
         assert!(!enabled());
         let mut g = span!("nope", x = 1u64);
@@ -1630,6 +1660,7 @@ mod tests {
 
     #[test]
     fn span_nesting_and_fields_round_trip() {
+        let _serial = test_serial();
         let session = quiet_session();
         {
             let mut outer = span!("outer", a = 1u64);
@@ -1665,6 +1696,7 @@ mod tests {
 
     #[test]
     fn metrics_accumulate_and_render() {
+        let _serial = test_serial();
         let session = quiet_session();
         counter_add("c", 2);
         counter_add("c", 3);
@@ -1700,6 +1732,7 @@ mod tests {
 
     #[test]
     fn sat_charges_attach_to_spans() {
+        let _serial = test_serial();
         let session = quiet_session();
         {
             let _outer = span!("job");
@@ -1721,6 +1754,7 @@ mod tests {
 
     #[test]
     fn sat_gc_charges_attach_to_spans_and_gauge() {
+        let _serial = test_serial();
         let session = quiet_session();
         {
             let _outer = span!("job");
@@ -1742,6 +1776,7 @@ mod tests {
 
     #[test]
     fn histogram_record_n_merges_buckets() {
+        let _serial = test_serial();
         let session = quiet_session();
         histogram_record("hn", 5);
         histogram_record_n("hn", 5, 3);
@@ -1769,6 +1804,7 @@ mod tests {
 
     #[test]
     fn jsonl_lines_all_parse_with_required_keys() {
+        let _serial = test_serial();
         let session = Session::install(
             ObsConfig {
                 mode: ObsMode::Json,
@@ -1799,6 +1835,7 @@ mod tests {
 
     #[test]
     fn root_span_total_reconciles_with_wall_time() {
+        let _serial = test_serial();
         let session = quiet_session();
         {
             let _root = span!("root");
@@ -1816,6 +1853,7 @@ mod tests {
     /// the inclusive upper bound of the bucket holding the ⌈q·n⌉-th value.
     #[test]
     fn histogram_quantiles_estimate_from_buckets() {
+        let _serial = test_serial();
         let session = quiet_session();
         for _ in 0..90 {
             histogram_record("q", 3); // bucket 2 (upper bound 3)
@@ -1898,7 +1936,7 @@ mod tests {
     /// work performed under them — the `alloc_*` analogue of `sat_*`.
     #[test]
     fn alloc_charges_attach_to_spans() {
-        let _serial = alloc::test_lock();
+        let _serial = test_serial();
         let session = quiet_session();
         alloc::set_mem_enabled(true);
         {
@@ -1944,6 +1982,7 @@ mod tests {
     /// golden fixtures stay byte-identical.
     #[test]
     fn alloc_fields_absent_when_mem_off() {
+        let _serial = test_serial();
         let session = quiet_session();
         {
             let _outer = span!("job.noalloc");
@@ -2002,5 +2041,27 @@ mod tests {
         assert_eq!(m.input.as_deref(), Some("file.aag"));
         assert_eq!(m.options, vec![("k".to_string(), "v".to_string())]);
         assert!(m.build.starts_with("diam "));
+    }
+
+    #[test]
+    fn output_paths_promote_an_off_mode() {
+        let config = |mode, trace: bool, live: bool| ObsConfig {
+            mode,
+            trace_out: trace.then(|| PathBuf::from("t.jsonl")),
+            live_out: live.then(|| PathBuf::from("l.jsonl")),
+            ..ObsConfig::default()
+        };
+        for (mode, trace, live, want) in [
+            (ObsMode::Off, false, false, ObsMode::Off),
+            (ObsMode::Off, true, false, ObsMode::Json),
+            (ObsMode::Off, false, true, ObsMode::Live),
+            (ObsMode::Off, true, true, ObsMode::Json),
+            (ObsMode::Summary, true, true, ObsMode::Summary),
+            (ObsMode::LiveJson, false, true, ObsMode::LiveJson),
+        ] {
+            let mut c = config(mode, trace, live);
+            c.promote_mode_from_outputs();
+            assert_eq!(c.mode, want, "{mode} trace={trace} live={live}");
+        }
     }
 }

@@ -620,6 +620,7 @@ mod tests {
     /// beats, and shuts down cleanly with the session.
     #[test]
     fn live_session_records_and_watchdog_stops() {
+        let _serial = crate::test_serial();
         let session = Session::install(
             ObsConfig {
                 mode: ObsMode::Live,
@@ -646,6 +647,7 @@ mod tests {
     /// `live_start` and `finish` events, each parseable with v/ev/ts_ns.
     #[test]
     fn live_out_file_gets_machine_events() {
+        let _serial = crate::test_serial();
         let path = std::env::temp_dir().join(format!("diam-live-{}.jsonl", std::process::id()));
         let session = Session::install(
             ObsConfig {

@@ -20,16 +20,15 @@
 //!   output is **independent of thread count and interleaving**. With
 //!   [`Parallelism::Sequential`] the *same job closures* execute inline in
 //!   index order, which is what makes `Threads(n)` output bit-identical to
-//!   sequential output in the consumers (`diam_bmc::prove_all`,
-//!   `diam_core::Pipeline::bound_targets`);
+//!   sequential output in the consumers (`diam_bmc::check_all`,
+//!   `diam_bmc::prove_all`, `diam_core::Pipeline::bound_targets`);
 //! * **cooperative cancellation** — jobs receive a shared [`CancelToken`];
-//!   long-running jobs poll it at loop boundaries. The companion
-//!   [`Frontier`] is a monotone atomic minimum used by depth-sliced BMC to
-//!   let a counterexample found at depth `d` stop all deeper work units for
-//!   the same target.
+//!   long-running jobs poll it at loop boundaries (the per-target BMC jobs
+//!   check it before every depth), and a panicking job cancels it so its
+//!   siblings wind down.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use diam_obs::ring::{self, RingKind};
@@ -129,52 +128,6 @@ impl CancelToken {
     /// ancestor.
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire) || self.parents.iter().any(|p| p.load(Ordering::Acquire))
-    }
-}
-
-/// A monotonically *decreasing* shared minimum (initially `u64::MAX`).
-///
-/// Depth-sliced BMC uses one per target: the work unit that finds a hit (or
-/// exhausts its budget) at depth `d` calls [`Frontier::record`]`(d)`, and
-/// every unit polls [`Frontier::superseded`] before processing a depth —
-/// work at depths strictly above the recorded minimum can never influence
-/// the merged (earliest-depth) outcome, so it stops early. Because merging
-/// consults unit results in ascending depth order and discards everything
-/// past the first recorded event, early stopping never changes the merged
-/// result — it only saves work.
-#[derive(Debug, Clone)]
-pub struct Frontier {
-    best: Arc<AtomicU64>,
-}
-
-impl Default for Frontier {
-    fn default() -> Frontier {
-        Frontier {
-            best: Arc::new(AtomicU64::new(u64::MAX)),
-        }
-    }
-}
-
-impl Frontier {
-    /// A fresh frontier with no recorded event.
-    pub fn new() -> Frontier {
-        Frontier::default()
-    }
-
-    /// Records an event at `depth`, lowering the shared minimum.
-    pub fn record(&self, depth: u64) {
-        self.best.fetch_min(depth, Ordering::AcqRel);
-    }
-
-    /// The lowest recorded depth, or `u64::MAX` if none.
-    pub fn best(&self) -> u64 {
-        self.best.load(Ordering::Acquire)
-    }
-
-    /// Whether work at `depth` is already pointless (an event strictly
-    /// below it has been recorded).
-    pub fn superseded(&self, depth: u64) -> bool {
-        self.best() < depth
     }
 }
 
@@ -677,20 +630,6 @@ mod tests {
         let total = ex.drain_from(&mut cursor).count();
         assert_eq!(total, 800);
         assert_eq!(ex.dropped(), 0);
-    }
-
-    #[test]
-    fn frontier_records_the_minimum() {
-        let f = Frontier::new();
-        assert_eq!(f.best(), u64::MAX);
-        assert!(!f.superseded(1_000_000));
-        f.record(17);
-        f.record(42);
-        f.record(23);
-        assert_eq!(f.best(), 17);
-        assert!(f.superseded(18));
-        assert!(!f.superseded(17));
-        assert!(!f.superseded(3));
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!                    coi, com, ret, fold[:c], enl[:k], param — each
 //!                    optionally starred into a fixpoint group, e.g.
 //!                    com* or (com,ret)*:2       (default com-ret-com)
-//!   --threshold <N>  usefulness threshold       (default 50)
-//!   --depth-cap <N>  refuse BMC beyond N        (default 10000)
+//!   --threshold <N>  for `bound`: usefulness threshold (default 50)
+//!   --depth-cap <N>  for `prove` and `solve`: refuse BMC when the bound
+//!                    exceeds N (default 10000; 0 = no cap)
 //!   --ecc <V>        on | off | k=<N>[,mf=<N>,ms=<N>] — eccentricity
 //!                    engine: replace the blanket 2^|regs| factor of
 //!                    general components with a certified state-graph
@@ -26,12 +27,14 @@
 //!                    on, cutoff 16; mf caps free signals, ms the sweep
 //!                    budget). Sound either way; `off` reproduces the
 //!                    paper's blanket bounds
-//!   --cube <M>       off | repro | fast — cube-and-conquer splitting of
-//!                    deep BMC obligations (default off). `repro` keeps
-//!                    output bit-identical at any worker count; `fast`
-//!                    adds clause sharing + sibling cancellation
+//!   --cube <M>       for `prove`: off | repro | fast — cube-and-conquer
+//!                    splitting of deep BMC obligations (default off).
+//!                    `repro` keeps output bit-identical at any worker
+//!                    count; `fast` adds clause sharing + sibling
+//!                    cancellation. `solve` accepts only `off`
 //!   --portfolio <S>  nonzero seed: restart/phase jitter for the SAT
-//!                    solvers behind prove/solve/sweep (default 0 = off)
+//!                    solvers behind `prove` and `sweep`; under `solve` it
+//!                    reaches only the COM sweep (default 0 = off)
 //!   --explain        for `bound`: print the dominant component chain of
 //!                    every target that stays over the threshold
 //!   --obs <M>        off | summary | json | live | live-json — structured
@@ -46,7 +49,7 @@
 //!                    off costs one relaxed atomic load per allocation)
 //! ```
 
-use diam::bmc::{prove_all, CubeMode, CubeOptions, ProveOptions, ProveOutcome};
+use diam::bmc::{prove_all, CubeMode, CubeOptions, ProveOptions, ProveOutcome, DEFAULT_DEPTH_CAP};
 use diam::core::classify::{classify, ClassifyOptions};
 use diam::core::{EccOptions, Pipeline, StructuralOptions};
 use diam::netlist::{aiger, Netlist};
@@ -133,7 +136,7 @@ impl Options {
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut pipeline_name = "com-ret-com".to_string();
     let mut threshold = 50u64;
-    let mut depth_cap = 10_000u64;
+    let mut depth_cap = DEFAULT_DEPTH_CAP;
     let mut cube = CubeMode::Off;
     let mut portfolio = 0u64;
     let mut explain = false;
@@ -200,15 +203,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     // `Pipeline::parse` owns the full grammar, including the canned
     // whole-spec aliases (`com`, `com-ret-com`).
     let pipeline = Pipeline::parse(&pipeline_name)?;
-    // `--trace-out` / `--live-out` without a mode mean the user wants that
-    // output: promote rather than silently writing nothing (same rules as
-    // the bench binaries).
-    if obs.trace_out.is_some() && obs.mode.is_off() {
-        obs.mode = ObsMode::Json;
-    }
-    if obs.live_out.is_some() && obs.mode.is_off() {
-        obs.mode = ObsMode::Live;
-    }
+    obs.promote_mode_from_outputs();
     Ok(Options {
         pipeline,
         pipeline_name,
@@ -400,6 +395,13 @@ fn cmd_retime(opts: &Options) -> Result<(), CliError> {
 
 fn cmd_solve(opts: &Options) -> Result<(), CliError> {
     use diam::bmc::strategy::{solve_all, StrategyOptions, TargetStatus};
+    // The portfolio has no cube layer; accepting the flag would ignore it.
+    if opts.cube != CubeMode::Off {
+        return Err(CliError::Msg(format!(
+            "--cube {} has no effect on `diam solve`; cube-and-conquer runs under `diam prove`",
+            opts.cube
+        )));
+    }
     let path = opts.files.first().ok_or("missing input file")?;
     let n = load(path)?;
     let strategy = StrategyOptions {

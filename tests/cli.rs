@@ -118,6 +118,23 @@ fn star_pipeline_spec_is_accepted() {
     assert!(out.contains("1 proved, 1 failed, 0 open"), "{out}");
 }
 
+/// `solve` has no cube layer: `--cube repro|fast` is an error that points
+/// to `prove`, not a flag silently ignored; `--cube off` stays accepted.
+#[test]
+fn solve_rejects_cube_modes_but_accepts_off() {
+    let dir = std::env::temp_dir();
+    let f = fixture(&dir, "diam_cli_solve_cube.aag", LOCKSTEP);
+    for mode in ["repro", "fast"] {
+        let (out, ok) = run(&["solve", "--cube", mode, f.to_str().unwrap()]);
+        assert!(!ok, "--cube {mode}: {out}");
+        assert!(out.contains("error: --cube"), "{out}");
+        assert!(out.contains("diam prove"), "{out}");
+    }
+    let (out, ok) = run(&["solve", "--cube", "off", f.to_str().unwrap()]);
+    assert!(ok, "{out}");
+    assert!(out.contains("1 proved, 1 failed, 0 open"), "{out}");
+}
+
 #[test]
 fn bad_arguments_fail_cleanly() {
     let (_, ok) = run(&["frobnicate"]);

@@ -5,16 +5,14 @@
 //! `classify_targets`, and the cone-sliced `check_all` — produces output
 //! that is **bit-identical across all `Parallelism` settings**, because jobs
 //! are pure functions of the immutable netlist merged in original target
-//! order; and depth-sliced work units stop early (without changing results)
-//! once a strictly shallower unit has recorded a hit.
+//! order; and cancellation scopes (`CancelToken` hierarchies) never change
+//! a merged result.
 
 use diam::bmc::{check_all, prove_all, BmcOptions, BmcOutcome, ProveOptions};
 use diam::core::{classify_targets, ClassifyOptions, Pipeline, StructuralOptions};
 use diam::gen::random::{random_netlist, RandomDesignOptions};
 use diam::netlist::{Gate, Init, Lit, Netlist};
 use diam::par::Parallelism;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// 24 seeded multi-target designs (deterministic per seed).
 fn designs() -> Vec<Netlist> {
@@ -102,17 +100,16 @@ fn sliced_check_all_agrees_with_the_shared_sweep() {
                 ..Default::default()
             },
         );
-        for (par, chunk) in [
-            (Parallelism::Sequential, 3u64),
-            (Parallelism::Threads(2), 0),
-            (Parallelism::Threads(4), 2),
+        for par in [
+            Parallelism::Sequential,
+            Parallelism::Threads(2),
+            Parallelism::Threads(4),
         ] {
             let sliced = check_all(
                 n,
                 &BmcOptions {
                     max_depth: 12,
                     parallelism: par,
-                    depth_chunk: chunk,
                     ..Default::default()
                 },
             );
@@ -123,7 +120,7 @@ fn sliced_check_all_agrees_with_the_shared_sweep() {
                         BmcOutcome::Counterexample { depth: x, .. },
                         BmcOutcome::Counterexample { depth: y, witness },
                     ) => {
-                        assert_eq!(x, y, "design {k} target {i} ({par}, chunk {chunk})");
+                        assert_eq!(x, y, "design {k} target {i} ({par})");
                         // The sliced path lifts witnesses back to the
                         // original netlist; they must replay there.
                         assert!(
@@ -139,68 +136,6 @@ fn sliced_check_all_agrees_with_the_shared_sweep() {
             }
         }
     }
-}
-
-/// A `bits`-wide counter with a target hit exactly when it reaches `value`.
-fn counter(bits: usize, value: u64) -> Netlist {
-    let mut n = Netlist::new();
-    let b: Vec<Gate> = (0..bits)
-        .map(|k| n.reg(format!("b{k}"), Init::Zero))
-        .collect();
-    let mut carry = Lit::TRUE;
-    for &bk in &b {
-        let nk = n.xor(bk.lit(), carry);
-        carry = n.and(bk.lit(), carry);
-        n.set_next(bk, nk);
-    }
-    let lits: Vec<Lit> = (0..bits)
-        .map(|k| b[k].lit().xor_complement(value >> k & 1 == 0))
-        .collect();
-    let t = n.and_many(lits);
-    n.add_target(t, format!("value_is_{value}"));
-    n
-}
-
-#[test]
-fn deeper_units_observe_the_frontier_and_stop_early() {
-    // The counter hits 5 at depth 5. With one-depth work units and
-    // max_depth 120, units 6..=120 must observe the per-target frontier
-    // and never reach the solver.
-    let n = counter(4, 5);
-    let probe = Arc::new(AtomicUsize::new(0));
-    let opts = BmcOptions {
-        max_depth: 120,
-        depth_chunk: 1,
-        solve_probe: Some(probe.clone()),
-        ..Default::default()
-    };
-    let seq = check_all(&n, &opts);
-    assert!(matches!(
-        seq[0],
-        BmcOutcome::Counterexample { depth: 5, .. }
-    ));
-    assert_eq!(
-        probe.load(Ordering::Acquire),
-        6,
-        "exactly depths 0..=5 are solved; the 115 deeper units stop early"
-    );
-
-    // Multi-threaded: outcomes (witness included) stay bit-identical, and
-    // cancellation still prunes the deep tail — a handful of in-flight
-    // units may race past the frontier, but nowhere near all 121.
-    let probe_mt = Arc::new(AtomicUsize::new(0));
-    let opts_mt = BmcOptions {
-        parallelism: Parallelism::Threads(4),
-        solve_probe: Some(probe_mt.clone()),
-        ..opts.clone()
-    };
-    let mt = check_all(&n, &opts_mt);
-    assert_eq!(seq, mt, "thread count must not change merged outcomes");
-    let solves = probe_mt.load(Ordering::Acquire);
-    assert!(
-        (6..60).contains(&solves),
-        "solve count {solves} out of range"
-    );
 }
 
 #[test]
@@ -236,9 +171,8 @@ fn child_tokens_scope_cancellation_hierarchically() {
 
 #[test]
 fn cancellation_never_changes_merged_results() {
-    // Several targets hitting at different depths, chunked finely: the
-    // per-target frontiers fire constantly, yet every mode merges to the
-    // same outcome vector.
+    // Several targets hitting at different depths, one job each: every
+    // worker count merges to the same outcome vector.
     let mut n = Netlist::new();
     let b: Vec<Gate> = (0..4).map(|k| n.reg(format!("b{k}"), Init::Zero)).collect();
     let mut carry = Lit::TRUE;
@@ -258,7 +192,6 @@ fn cancellation_never_changes_merged_results() {
         &n,
         &BmcOptions {
             max_depth: 20,
-            depth_chunk: 1,
             parallelism: Parallelism::Sequential,
             ..Default::default()
         },
@@ -268,7 +201,6 @@ fn cancellation_never_changes_merged_results() {
             &n,
             &BmcOptions {
                 max_depth: 20,
-                depth_chunk: 1,
                 parallelism: Parallelism::Threads(2 + trial % 3),
                 ..Default::default()
             },
