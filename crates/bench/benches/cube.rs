@@ -6,9 +6,7 @@
 //! reproducible cubes on one worker (split overhead, no parallelism), and
 //! (c) fast cubes at 4 workers (sharing + sibling cancellation). On a
 //! multi-core host (c) is the ≥1.5× target tracked in EXPERIMENTS.md; on a
-//! single-core runner it degenerates to (b) plus scheduling noise — the
-//! numbers are recorded either way so `diam-trace diff-baseline` can
-//! compare like with like.
+//! single-core runner it degenerates to (b) plus scheduling noise.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diam_bmc::{check, BmcOptions, BmcOutcome, CubeMode, CubeOptions};

@@ -1,8 +1,8 @@
 //! Benchmarks for the SumSweep eccentricity engine: explicit state-graph
 //! enumeration and the alternating sweep phase, at 2^12 and 2^16 reachable
 //! states (an enabled binary counter visits every state, making the sizes
-//! exact). End-to-end BMC depth numbers live in `BENCH_pr10.json`
-//! (produced by `benchreport --suite ecc`).
+//! exact). The end-to-end certified-depth proof runs as the release-only
+//! `tests/scale.rs` smoke.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diam_core::state_graph::{StateGraph, StateGraphLimits};

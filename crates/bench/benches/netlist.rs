@@ -1,8 +1,8 @@
 //! Benchmarks for the CSR netlist substrate: binary-AIGER parsing, cone of
 //! influence, and register classification on the deterministic `large`
 //! archetype. The criterion harness runs at a moderate size so it stays
-//! iterable; the full 1M-gate scaling numbers live in `BENCH_pr9.json`
-//! (produced by `benchreport --suite netlist`).
+//! iterable; the full 1M-gate round-trip runs as the release-only
+//! `tests/scale.rs` smoke.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diam_core::classify::{classify, ClassifyOptions};

@@ -16,7 +16,7 @@
 //! integration tests can assert the reproduced Σ shape.
 
 use diam_core::classify::{classify, ClassCounts, ClassifyOptions};
-use diam_core::{Bound, EccOptions, Pipeline, StructuralOptions};
+use diam_core::{Bound, EccOptions, Pipeline, StructuralOptions, USEFUL_THRESHOLD};
 use diam_gen::profile::DesignProfile;
 use diam_netlist::Netlist;
 use diam_obs::{ObsConfig, ObsMode, RunManifest, Session};
@@ -181,9 +181,6 @@ pub struct DesignResult {
     pub columns: [ColumnResult; 3],
 }
 
-/// The usefulness threshold the paper uses throughout.
-pub const THRESHOLD: u64 = 50;
-
 /// Runs the three columns on one design.
 pub fn run_design(profile: &DesignProfile, netlist: &Netlist) -> DesignResult {
     run_design_with(profile, netlist, diam_par::Parallelism::Sequential)
@@ -232,7 +229,7 @@ pub fn run_design_opts(
         let useful: Vec<u64> = bounds
             .iter()
             .filter_map(|b| match b.original {
-                Bound::Finite(v) if v < THRESHOLD => Some(v),
+                Bound::Finite(v) if v < USEFUL_THRESHOLD => Some(v),
                 _ => None,
             })
             .collect();

@@ -117,7 +117,7 @@ impl Default for StrategyOptions {
         StrategyOptions {
             random: RandomSearchOptions::default(),
             sweep: SweepOptions::default(),
-            pipeline: Pipeline::com_ret_com(),
+            pipeline: Pipeline::parse(Pipeline::DEFAULT_SPEC).expect("default spec parses"),
             depth_cap: DEFAULT_DEPTH_CAP,
             symbolic_reg_cap: 40,
             max_induction: 3,

@@ -8,6 +8,11 @@
 
 use std::fmt;
 
+/// The paper's usefulness threshold: a bound below it is "practically
+/// useful for discharging with BMC" ([`Bound::is_useful`]). The tables,
+/// `diam bound` and the generators' self-checks all count against it.
+pub const USEFUL_THRESHOLD: u64 = 50;
+
 /// An upper bound on a diameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Bound {
@@ -84,8 +89,9 @@ impl Bound {
         }
     }
 
-    /// Whether the bound is below `threshold` — the paper uses 50 as the
-    /// cut-off for "practically useful for discharging with BMC".
+    /// Whether the bound is below `threshold` — the paper uses
+    /// [`USEFUL_THRESHOLD`] as the cut-off for "practically useful for
+    /// discharging with BMC".
     pub fn is_useful(self, threshold: u64) -> bool {
         matches!(self, Bound::Finite(v) if v < threshold)
     }

@@ -58,7 +58,7 @@ pub mod state_graph;
 pub mod structural;
 pub mod symbolic;
 
-pub use bound::Bound;
+pub use bound::{Bound, USEFUL_THRESHOLD};
 pub use classify::{classify_targets, ClassCounts, Classification, ClassifyOptions, RegClass};
 pub use diam_par::Parallelism;
 pub use diam_transform::pass::{BoundStep, Certificate, CertificateChain};

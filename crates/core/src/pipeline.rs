@@ -188,6 +188,11 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
+    /// The spec of the default verdict pipeline, the paper's `COM,RET,COM`
+    /// column ([`Pipeline::com_ret_com`]). `diam` prints it in its `bound`
+    /// header and the portfolio strategy parses it.
+    pub const DEFAULT_SPEC: &'static str = "com-ret-com";
+
     /// An empty pipeline (bounds and witnesses transfer unchanged).
     pub fn new() -> Pipeline {
         Pipeline::default()

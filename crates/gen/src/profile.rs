@@ -426,7 +426,7 @@ fn name_hash(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diam_core::{Bound, Pipeline, StructuralOptions};
+    use diam_core::{Bound, Pipeline, StructuralOptions, USEFUL_THRESHOLD};
 
     fn sample_profile() -> DesignProfile {
         DesignProfile {
@@ -476,7 +476,7 @@ mod tests {
         let count_useful = |pipe: &Pipeline| {
             pipe.bound_targets(&n, &opts)
                 .iter()
-                .filter(|b| b.original.is_useful(50))
+                .filter(|b| b.original.is_useful(USEFUL_THRESHOLD))
                 .count()
         };
         let orig = count_useful(&Pipeline::new());
@@ -496,7 +496,7 @@ mod tests {
         let dead: Vec<_> = bounds.iter().filter(|b| b.name.contains("dead")).collect();
         assert!(!dead.is_empty());
         assert!(
-            dead.iter().all(|b| !b.original.is_useful(50)),
+            dead.iter().all(|b| !b.original.is_useful(USEFUL_THRESHOLD)),
             "ring-observing targets must stay unboundable"
         );
     }
@@ -510,9 +510,13 @@ mod tests {
         let ret = Pipeline::com_ret_com().bound_targets(&n, &opts);
         for (c, r) in com.iter().zip(&ret) {
             if c.name.contains("u2_") {
-                assert!(!c.original.is_useful(50), "{}: useful before RET", c.name);
                 assert!(
-                    r.original.is_useful(50),
+                    !c.original.is_useful(USEFUL_THRESHOLD),
+                    "{}: useful before RET",
+                    c.name
+                );
+                assert!(
+                    r.original.is_useful(USEFUL_THRESHOLD),
                     "{}: still useless after RET",
                     r.name
                 );

@@ -81,8 +81,8 @@ pub const MAX_BINARY_VARS: u32 = 1 << 22;
 /// ordering guarantee (`lhs > rhs0 >= rhs1`) lets each gate be constructed
 /// the moment its deltas are decoded, with no intermediate definition
 /// buffer, and the netlist's CSR adjacency is built once at the end while
-/// the gate tables are cache-hot. ASCII files may list ANDs in any order
-/// and go through a worklist instead.
+/// the gate tables are cache-hot. ASCII files may list ANDs in any order,
+/// so their definitions are buffered and built in dependency order.
 ///
 /// # Errors
 ///
@@ -315,7 +315,8 @@ fn read_binary<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerE
 }
 
 /// ASCII (`aag`) ingestion. Literals are explicit and ANDs may appear in any
-/// order, so definitions are buffered and resolved with a worklist.
+/// order, so definitions are buffered and built in dependency order, in
+/// time linear in their number.
 fn read_ascii<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerError> {
     let Header { m, i, l, o, a, b } = hdr;
     let mut input_vars: Vec<u32> = prealloc(i);
@@ -392,24 +393,57 @@ fn read_ascii<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerEr
         regs.push(g);
         var_lit.insert(v, g.lit());
     }
-    // ANDs may appear in any order in ASCII files; resolve with a worklist.
-    let mut pending: Vec<(u32, u32, u32)> = and_defs;
-    while !pending.is_empty() {
-        let before = pending.len();
-        pending.retain(|&(lhs, rhs0, rhs1)| {
-            let fa = resolve(&var_lit, rhs0);
-            let fb = resolve(&var_lit, rhs1);
-            match (fa, fb) {
+    // ANDs may appear in any order in ASCII files: build them in DFS
+    // post-order, visiting roots in list order, so a topologically ordered
+    // file builds gate-for-gate in list order. The explicit stack keeps an
+    // untrusted chain depth off the call stack. The `var → definition` map
+    // is built on the first forward reference, so an ordered file never
+    // pays for it.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Visit {
+        New,
+        Open,
+        Done,
+    }
+    let mut def_of: Option<HashMap<u32, usize>> = None;
+    let mut visit = vec![Visit::New; and_defs.len()];
+    let mut stack: Vec<usize> = Vec::new();
+    for root in 0..and_defs.len() {
+        if visit[root] == Visit::Done {
+            continue;
+        }
+        visit[root] = Visit::Open;
+        stack.push(root);
+        while let Some(&k) = stack.last() {
+            let (lhs, rhs0, rhs1) = and_defs[k];
+            match (resolve(&var_lit, rhs0), resolve(&var_lit, rhs1)) {
                 (Some(fa), Some(fb)) => {
                     let lit = n.and(fa, fb);
                     var_lit.insert(lhs >> 1, lit.xor_complement(lhs & 1 != 0));
-                    false
+                    visit[k] = Visit::Done;
+                    stack.pop();
                 }
-                _ => true,
+                (fa, _) => {
+                    // Descend into the first undefined fanin. A fanin with
+                    // no definition dangles; one whose definition is still
+                    // open closes a cycle.
+                    let missing = if fa.is_none() { rhs0 } else { rhs1 };
+                    let def_of = def_of.get_or_insert_with(|| {
+                        let mut map = HashMap::with_capacity(and_defs.len());
+                        for (k, &(lhs, _, _)) in and_defs.iter().enumerate() {
+                            map.entry(lhs >> 1).or_insert(k);
+                        }
+                        map
+                    });
+                    match def_of.get(&(missing >> 1)) {
+                        Some(&d) if visit[d] == Visit::New => {
+                            visit[d] = Visit::Open;
+                            stack.push(d);
+                        }
+                        _ => return Err(parse_err("cyclic or dangling AND definitions")),
+                    }
+                }
             }
-        });
-        if pending.len() == before {
-            return Err(parse_err("cyclic or dangling AND definitions"));
         }
     }
     for (k, &r) in regs.iter().enumerate() {
@@ -713,6 +747,52 @@ mod tests {
             Err(AigerError::Parse(m)) => m,
             other => panic!("expected a parse error, got {other:?}"),
         }
+    }
+
+    /// An `aag` chain of `len` ANDs, each conjoining the previous one with
+    /// a fresh input, with the AND lines listed forward or reversed.
+    fn and_chain(len: u32, reversed: bool) -> String {
+        let inputs: Vec<String> = (1..=len + 1).map(|v| (2 * v).to_string()).collect();
+        let mut ands: Vec<String> = (0..len)
+            .map(|k| {
+                let prev = if k == 0 { 1 } else { len + 1 + k };
+                format!("{} {} {}", 2 * (len + 2 + k), 2 * prev, 2 * (k + 2))
+            })
+            .collect();
+        if reversed {
+            ands.reverse();
+        }
+        format!(
+            "aag {} {} 0 1 {len}\n{}\n{}\n{}\n",
+            2 * len + 1,
+            len + 1,
+            inputs.join("\n"),
+            2 * (2 * len + 1),
+            ands.join("\n")
+        )
+    }
+
+    #[test]
+    fn and_order_does_not_change_the_netlist() {
+        let forward = read(and_chain(3000, false).as_bytes()).unwrap();
+        let reversed = read(and_chain(3000, true).as_bytes()).unwrap();
+        assert_eq!(forward.num_ands(), 3000);
+        assert_eq!(
+            crate::stats::fingerprint(&forward),
+            crate::stats::fingerprint(&reversed)
+        );
+        // A tree whose root waits on its second fanin after the first one
+        // is built: the ANDs come out in DFS post-order.
+        let tree = |ands: &str| read(format!("aag 7 4 0 1 3\n2\n4\n6\n8\n14\n{ands}").as_bytes());
+        assert_eq!(
+            crate::stats::fingerprint(&tree("12 8 6\n10 4 2\n14 12 10\n").unwrap()),
+            crate::stats::fingerprint(&tree("14 12 10\n12 8 6\n10 4 2\n").unwrap())
+        );
+        // Two ANDs defined through each other are still a cycle.
+        assert_eq!(
+            parse_error(b"aag 3 1 0 1 2\n2\n4\n4 6 2\n6 4 2\n"),
+            "cyclic or dangling AND definitions"
+        );
     }
 
     #[test]

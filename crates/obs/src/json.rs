@@ -1,5 +1,5 @@
 //! A minimal, std-only JSON value model: enough to *write* the JSONL trace
-//! format and to *parse it back* for validation (`tracecheck`, the schema
+//! format and to *parse it back* for validation (`diam-trace check`, the schema
 //! round-trip tests). Not a general-purpose JSON library — numbers outside
 //! `i128` and non-BMP escapes beyond `\uXXXX` pairs are out of scope.
 

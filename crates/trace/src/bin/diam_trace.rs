@@ -1,44 +1,38 @@
 //! `diam-trace` — trace analytics CLI.
 //!
 //! ```text
+//! diam-trace check <trace.jsonl>
 //! diam-trace report <trace.jsonl> [--top K] [--json]
 //! diam-trace critical-path <trace.jsonl> [--json]
 //! diam-trace diff <base.jsonl> <new.jsonl> [--rel X] [--abs-floor-ms N]
-//! diam-trace diff-baseline <base.json> <new.json> [--rel X] [--abs-floor-ms N]
 //! diam-trace export <trace.jsonl> --format chrome|flamegraph [--out PATH]
 //! diam-trace timeline <trace.jsonl> [--width N]
-//! diam-trace history [<fingerprint>] [--last N] [--dir PATH] [--rel X] [--abs-floor-ms N]
 //! diam-trace postmortem <crash.json>
 //! ```
 //!
-//! Exit codes: `0` success / no regressions, `1` regressions found by a
-//! diff (or drift found by `history`), `2` usage, I/O, or parse error
+//! Exit codes: `0` success / no regressions, `1` a trace that fails
+//! `check` or regressions found by a diff, `2` usage, I/O, or parse error
 //! (including a crash dump that fails schema validation).
 
-use diam_trace::{
-    analyze, diff, export, history, postmortem, timeline, Baseline, DiffOptions, Trace,
-};
+use diam_trace::{analyze, diff, export, postmortem, timeline, DiffOptions, Trace};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: diam-trace <command> [args]
 
 commands:
+  check <trace.jsonl>
+      validate a trace's schema and list its span kinds; exit 1 if invalid
   report <trace.jsonl> [--top K] [--json]
       per-phase attribution, critical path, hotspots, per-depth SAT table
   critical-path <trace.jsonl> [--json]
       just the heaviest-child chain
   diff <base.jsonl> <new.jsonl> [--rel X] [--abs-floor-ms N]
       phase-wise comparison of two traces; exit 1 on regressions
-  diff-baseline <base.json> <new.json> [--rel X] [--abs-floor-ms N]
-      phase-wise comparison of two BENCH_*.json baselines; exit 1 on regressions
   export <trace.jsonl> --format chrome|flamegraph [--out PATH]
       convert a trace to Chrome trace-event JSON (Perfetto) or collapsed
       stacks; the export is verified against the span model before writing
   timeline <trace.jsonl> [--width N]
       per-worker busy/idle lanes (default width 60)
-  history [<fingerprint>] [--last N] [--dir PATH] [--rel X] [--abs-floor-ms N]
-      per-phase trends for stored runs of one workload; exit 1 on drift.
-      without a fingerprint, lists stored fingerprints and run counts
   postmortem <crash.json>
       validate and render a crash dump written by the diam-obs panic hook
       (.diam/crash/<id>.json); exit 2 if the dump fails schema validation
@@ -51,8 +45,6 @@ options:
   --format F        export format: chrome or flamegraph
   --out PATH        write export to PATH instead of stdout
   --width N         timeline lane width in cells (default 60)
-  --last N          history runs to show (default 10)
-  --dir PATH        history store root (default .diam/history)
 ";
 
 fn usage_err(msg: &str) -> ExitCode {
@@ -66,11 +58,6 @@ fn load_trace(path: &str) -> Result<Trace, String> {
     Trace::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn load_baseline(path: &str) -> Result<Baseline, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Baseline::parse(&text).map_err(|e| format!("{path}: {e}"))
-}
-
 struct Flags {
     positional: Vec<String>,
     top: usize,
@@ -79,8 +66,6 @@ struct Flags {
     format: Option<String>,
     out: Option<String>,
     width: usize,
-    last: usize,
-    dir: Option<String>,
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
@@ -92,8 +77,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         format: None,
         out: None,
         width: 60,
-        last: 10,
-        dir: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -142,19 +125,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     .parse()
                     .map_err(|_| format!("invalid --width value `{v}`"))?;
             }
-            "--last" => {
-                let v = it.next().ok_or("--last requires a value")?;
-                flags.last = v
-                    .parse()
-                    .map_err(|_| format!("invalid --last value `{v}`"))?;
-                if flags.last == 0 {
-                    return Err("--last must be >= 1".into());
-                }
-            }
-            "--dir" => {
-                let v = it.next().ok_or("--dir requires a value")?;
-                flags.dir = Some(v.clone());
-            }
             other if other.starts_with("--") => {
                 return Err(format!("unknown option `{other}`"));
             }
@@ -162,6 +132,31 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         }
     }
     Ok(flags)
+}
+
+/// Validates a trace with [`Trace::parse`]: the OK line lists the span
+/// kinds it saw, and a schema violation prints the parser's diagnostic and
+/// exits 1.
+fn cmd_check(flags: &Flags) -> Result<ExitCode, String> {
+    let [path] = flags.positional.as_slice() else {
+        return Err("check takes exactly one trace file".into());
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let trace = match Trace::parse(&text) {
+        Ok(trace) => trace,
+        Err(e) => {
+            eprintln!("diam-trace: {e}");
+            return Ok(ExitCode::from(1));
+        }
+    };
+    println!(
+        "diam-trace: {path}: OK — {} lines, {} spans, {} points, kinds: {}",
+        trace.lines,
+        trace.span_count(),
+        trace.points.len(),
+        trace.span_names().join(" ")
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_report(flags: &Flags) -> Result<ExitCode, String> {
@@ -239,16 +234,6 @@ fn cmd_diff(flags: &Flags) -> Result<ExitCode, String> {
     Ok(finish_diff(&rows, &flags.opts))
 }
 
-fn cmd_diff_baseline(flags: &Flags) -> Result<ExitCode, String> {
-    let [base, new] = flags.positional.as_slice() else {
-        return Err("diff-baseline takes exactly two BENCH_*.json files".into());
-    };
-    let base = load_baseline(base)?;
-    let new = load_baseline(new)?;
-    let rows = diff::diff_baselines(&base, &new, &flags.opts)?;
-    Ok(finish_diff(&rows, &flags.opts))
-}
-
 fn cmd_export(flags: &Flags) -> Result<ExitCode, String> {
     let [path] = flags.positional.as_slice() else {
         return Err("export takes exactly one trace file".into());
@@ -301,45 +286,6 @@ fn cmd_timeline(flags: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_history(flags: &Flags) -> Result<ExitCode, String> {
-    let store = match &flags.dir {
-        Some(dir) => history::History::at(dir),
-        None => history::History::default_root(),
-    };
-    match flags.positional.as_slice() {
-        [] => {
-            let fps = store.fingerprints()?;
-            if fps.is_empty() {
-                println!("history: no runs recorded under {}", store.root().display());
-            } else {
-                println!("history under {}:", store.root().display());
-                for (fp, count) in fps {
-                    println!("  {fp}  {count} run(s)");
-                }
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        [fingerprint] => {
-            let runs = store.runs(fingerprint)?;
-            if runs.is_empty() {
-                return Err(format!(
-                    "no runs recorded for fingerprint {fingerprint} under {}",
-                    store.root().display()
-                ));
-            }
-            let (text, drifted) =
-                history::render_trends(fingerprint, &runs, flags.last, &flags.opts);
-            print!("{text}");
-            Ok(if drifted {
-                ExitCode::from(1)
-            } else {
-                ExitCode::SUCCESS
-            })
-        }
-        _ => Err("history takes at most one fingerprint".into()),
-    }
-}
-
 fn cmd_postmortem(flags: &Flags) -> Result<ExitCode, String> {
     let [path] = flags.positional.as_slice() else {
         return Err("postmortem takes exactly one crash dump file".into());
@@ -360,13 +306,12 @@ fn main() -> ExitCode {
         Err(e) => return usage_err(&e),
     };
     let result = match cmd.as_str() {
+        "check" => cmd_check(&flags),
         "report" => cmd_report(&flags),
         "critical-path" => cmd_critical_path(&flags),
         "diff" => cmd_diff(&flags),
-        "diff-baseline" => cmd_diff_baseline(&flags),
         "export" => cmd_export(&flags),
         "timeline" => cmd_timeline(&flags),
-        "history" => cmd_history(&flags),
         "postmortem" => cmd_postmortem(&flags),
         "--help" | "-h" | "help" => {
             print!("{USAGE}");

@@ -1,4 +1,4 @@
-//! Noise-aware trace and baseline diffing.
+//! Noise-aware trace diffing.
 //!
 //! Comparing two profiling runs naively produces noise: a 40 µs phase that
 //! doubles to 80 µs is not a regression anyone should act on, while a 2 s
@@ -14,7 +14,6 @@
 //! directions, but only [`Verdict::Regress`] affects [`has_regressions`].
 
 use crate::analyze::{rollup, PhaseRollup};
-use crate::baseline::Baseline;
 use crate::model::Trace;
 
 /// Thresholds for the noise gate.
@@ -95,11 +94,7 @@ fn classify(base_ns: u64, new_ns: u64, opts: &DiffOptions) -> Verdict {
 ///
 /// Rows are ordered: shared and removed phases in base-total-descending
 /// order, then added phases in new-total-descending order.
-pub fn diff_rollups(
-    base: &[PhaseRollup],
-    new: &[PhaseRollup],
-    opts: &DiffOptions,
-) -> Vec<PhaseDiff> {
+fn diff_rollups(base: &[PhaseRollup], new: &[PhaseRollup], opts: &DiffOptions) -> Vec<PhaseDiff> {
     let mut rows = Vec::new();
     let mut seen = std::collections::BTreeSet::new();
     for b in base {
@@ -146,38 +141,6 @@ pub fn diff_rollups(
 /// Diff two parsed traces phase-by-phase.
 pub fn diff_traces(base: &Trace, new: &Trace, opts: &DiffOptions) -> Vec<PhaseDiff> {
     diff_rollups(&rollup(base), &rollup(new), opts)
-}
-
-/// Diff two `BENCH_*.json` baselines phase-by-phase (median totals).
-///
-/// Returns `Err` when the manifest fingerprints disagree — the runs were
-/// produced from different inputs/options and a time comparison would be
-/// meaningless.
-pub fn diff_baselines(
-    base: &Baseline,
-    new: &Baseline,
-    opts: &DiffOptions,
-) -> Result<Vec<PhaseDiff>, String> {
-    if base.fingerprint != new.fingerprint {
-        return Err(format!(
-            "fingerprint mismatch: base {} vs new {} (different input or options; refusing to compare)",
-            base.fingerprint, new.fingerprint
-        ));
-    }
-    let to_rollups = |b: &Baseline| -> Vec<PhaseRollup> {
-        b.phases
-            .iter()
-            .map(|p| PhaseRollup {
-                name: p.name.clone(),
-                count: p.count,
-                total_ns: p.total_ns,
-                self_ns: p.self_ns,
-                sat: Default::default(),
-                mem: Default::default(),
-            })
-            .collect()
-    };
-    Ok(diff_rollups(&to_rollups(base), &to_rollups(new), opts))
 }
 
 /// True when any row carries [`Verdict::Regress`].

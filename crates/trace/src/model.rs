@@ -1,14 +1,12 @@
 //! The typed trace model and the **single** strict JSONL parser for
 //! `diam-obs` traces.
 //!
-//! [`Trace::parse`] validates exactly what the `tracecheck` binary
-//! historically enforced — line-level JSON validity, required keys, a
-//! leading manifest line, open/close pairing with parent links, a trailing
-//! metrics line — and builds a typed model in one pass: a [`TraceManifest`],
-//! the [`Span`] map with parent/child links + per-span SAT attribution, the
-//! point events, and the final metrics. Diagnostics are stable strings (the
-//! `tracecheck` CLI prints them verbatim), so validation failures stay
-//! byte-identical across the refactor.
+//! [`Trace::parse`] validates line-level JSON validity, required keys, a
+//! leading manifest line, open/close pairing with parent links and a
+//! trailing metrics line, and builds a typed model in one pass: a
+//! [`TraceManifest`], the [`Span`] map with parent/child links + per-span
+//! SAT attribution, the point events, and the final metrics. Diagnostics
+//! are stable strings (`diam-trace check` prints them verbatim).
 
 use diam_obs::json::{self, JsonValue};
 use std::collections::BTreeMap;
@@ -361,8 +359,8 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Returns a [`TraceError`] whose message matches the historical
-    /// `tracecheck` diagnostics, byte for byte.
+    /// Returns a [`TraceError`] carrying the offending line and a stable
+    /// diagnostic string (`diam-trace check` prints it verbatim).
     pub fn parse(text: &str) -> Result<Trace, TraceError> {
         let fail = |line: usize, message: String| -> TraceError { TraceError { line, message } };
 
@@ -576,7 +574,8 @@ impl Trace {
             .collect()
     }
 
-    /// Sorted, de-duplicated span names (as the `tracecheck` OK line lists).
+    /// Sorted, de-duplicated span names (as the `diam-trace check` OK line
+    /// lists).
     pub fn span_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.spans.values().map(|s| s.name.clone()).collect();
         names.sort();

@@ -1,12 +1,11 @@
-//! Exporter round-trip + golden tests and `diam-trace history` CLI tests.
+//! Exporter round-trip + golden tests and `diam-trace` CLI tests.
 //!
 //! The export goldens (`seed_run.chrome.json`, `seed_run.folded`) pin the
 //! exact bytes produced from the committed seed trace, so format changes
-//! are deliberate, reviewed diffs. The history tests drive the real binary
-//! (`CARGO_BIN_EXE_diam-trace`) against a temp store to pin exit codes.
+//! are deliberate, reviewed diffs. The CLI tests drive the real binary
+//! (`CARGO_BIN_EXE_diam-trace`) to pin output and exit codes.
 
-use diam_trace::{export, history, timeline, Baseline, Trace};
-use std::path::PathBuf;
+use diam_trace::{export, timeline, Trace};
 use std::process::Command;
 
 fn fixture(name: &str) -> String {
@@ -67,88 +66,6 @@ fn timeline_covers_all_seed_spans() {
     assert!(busy[&0] <= trace.manifest.wall_ns);
 }
 
-fn history_tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("diam-trace-cli-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Store a single-run baseline built from the seed trace, with every phase
-/// total scaled by `scale_pct` percent (100 = unchanged).
-fn store_scaled_run(store: &history::History, label: &str, scale_pct: u64) {
-    let trace = seed_trace();
-    let mut baseline = Baseline::from_traces(label, &[trace]).expect("aggregates");
-    for phase in &mut baseline.phases {
-        phase.total_ns = phase.total_ns * scale_pct / 100;
-        phase.self_ns = phase.self_ns * scale_pct / 100;
-    }
-    baseline.wall_ns = baseline.wall_ns * scale_pct / 100;
-    store.append(&baseline).expect("append succeeds");
-}
-
-#[test]
-fn history_cli_trends_steady_then_drift() {
-    let root = history_tmpdir("drift");
-    let store = history::History::at(&root);
-    // Three steady runs...
-    for (i, label) in ["r1", "r2", "r3"].iter().enumerate() {
-        store_scaled_run(&store, label, 100 + i as u64); // ±3% jitter
-    }
-    let fp = store.fingerprints().unwrap()[0].0.clone();
-
-    let steady = Command::new(env!("CARGO_BIN_EXE_diam-trace"))
-        .args(["history", &fp, "--dir", root.to_str().unwrap()])
-        .output()
-        .expect("runs");
-    let text = String::from_utf8_lossy(&steady.stdout);
-    assert!(steady.status.success(), "{text}");
-    assert!(text.contains("3 runs of table1"), "{text}");
-    assert!(text.contains("verdict: STEADY"), "{text}");
-
-    // ... then an injected 2× slowdown must trip the drift gate → exit 1.
-    store_scaled_run(&store, "slow", 200);
-    let drift = Command::new(env!("CARGO_BIN_EXE_diam-trace"))
-        .args(["history", &fp, "--dir", root.to_str().unwrap()])
-        .output()
-        .expect("runs");
-    let text = String::from_utf8_lossy(&drift.stdout);
-    assert_eq!(drift.status.code(), Some(1), "{text}");
-    assert!(text.contains("4 runs of table1"), "{text}");
-    assert!(text.contains("verdict: DRIFT"), "{text}");
-
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn history_cli_lists_fingerprints_and_rejects_unknown() {
-    let root = history_tmpdir("list");
-    let store = history::History::at(&root);
-    store_scaled_run(&store, "only", 100);
-    let fp = store.fingerprints().unwrap()[0].0.clone();
-
-    let list = Command::new(env!("CARGO_BIN_EXE_diam-trace"))
-        .args(["history", "--dir", root.to_str().unwrap()])
-        .output()
-        .expect("runs");
-    assert!(list.status.success());
-    let text = String::from_utf8_lossy(&list.stdout);
-    assert!(text.contains(&fp), "{text}");
-    assert!(text.contains("1 run(s)"), "{text}");
-
-    let missing = Command::new(env!("CARGO_BIN_EXE_diam-trace"))
-        .args([
-            "history",
-            "ffffffffffffffff",
-            "--dir",
-            root.to_str().unwrap(),
-        ])
-        .output()
-        .expect("runs");
-    assert_eq!(missing.status.code(), Some(2));
-
-    let _ = std::fs::remove_dir_all(&root);
-}
-
 #[test]
 fn export_cli_is_self_verifying() {
     let tmp = std::env::temp_dir().join(format!("diam-export-{}", std::process::id()));
@@ -180,4 +97,46 @@ fn export_cli_is_self_verifying() {
         );
     }
     let _ = std::fs::remove_dir_all(&tmp);
+}
+
+#[test]
+fn check_cli_accepts_the_seed_trace_and_rejects_a_broken_one() {
+    let trace_path = format!(
+        "{}/tests/fixtures/seed_run.jsonl",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let ok = Command::new(env!("CARGO_BIN_EXE_diam-trace"))
+        .args(["check", &trace_path])
+        .output()
+        .expect("runs");
+    let text = String::from_utf8_lossy(&ok.stdout);
+    assert!(ok.status.success(), "{text}");
+    let trace = seed_trace();
+    assert_eq!(
+        text,
+        format!(
+            "diam-trace: {trace_path}: OK — {} lines, {} spans, {} points, kinds: {}\n",
+            trace.lines,
+            trace.span_count(),
+            trace.points.len(),
+            trace.span_names().join(" ")
+        )
+    );
+
+    // Dropping the final metrics line is a schema violation: exit 1 with
+    // the parser's diagnostic on stderr.
+    let broken = std::env::temp_dir().join(format!("diam-check-{}.jsonl", std::process::id()));
+    let full = fixture("seed_run.jsonl");
+    let truncated: Vec<&str> = full.lines().collect();
+    std::fs::write(&broken, truncated[..truncated.len() - 1].join("\n")).unwrap();
+    let bad = Command::new(env!("CARGO_BIN_EXE_diam-trace"))
+        .args(["check", broken.to_str().unwrap()])
+        .output()
+        .expect("runs");
+    let _ = std::fs::remove_file(&broken);
+    assert_eq!(bad.status.code(), Some(1));
+    assert!(bad.stdout.is_empty());
+    let err = String::from_utf8_lossy(&bad.stderr);
+    let want = Trace::parse(&truncated[..truncated.len() - 1].join("\n")).unwrap_err();
+    assert_eq!(err, format!("diam-trace: {want}\n"));
 }

@@ -18,7 +18,7 @@
 //! Run with: `cargo run --release --example pipeline_proof`
 
 use diam::bmc::{prove, ProveOptions, ProveOutcome};
-use diam::core::{Pipeline, StructuralOptions};
+use diam::core::{Pipeline, StructuralOptions, USEFUL_THRESHOLD};
 use diam::netlist::{Gate, Init, Lit, Netlist};
 
 fn build(depth: usize) -> Netlist {
@@ -102,7 +102,7 @@ fn main() {
             format!(
                 "{} [{}]",
                 b[i].original,
-                if b[i].original.is_useful(50) {
+                if b[i].original.is_useful(USEFUL_THRESHOLD) {
                     "ok"
                 } else {
                     "too big"

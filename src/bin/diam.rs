@@ -39,9 +39,7 @@
 //!                    every target that stays over the threshold
 //!   --obs <M>        off | summary | json | live | live-json — structured
 //!                    observability for this run (default off; see diam-obs)
-//!   --trace-out <F>  write the JSONL trace to F (implies --obs json); a
-//!                    recorded run is also appended to the .diam/history
-//!                    store so `diam-trace history` can track it
+//!   --trace-out <F>  write the JSONL trace to F (implies --obs json)
 //!   --live-out <F>   stream machine-readable live progress JSONL to F
 //!                    (implies --obs live)
 //!   --mem <on|off>   allocator accounting: live/peak bytes, per-span
@@ -51,7 +49,7 @@
 
 use diam::bmc::{prove_all, CubeMode, CubeOptions, ProveOptions, ProveOutcome, DEFAULT_DEPTH_CAP};
 use diam::core::classify::{classify, ClassifyOptions};
-use diam::core::{EccOptions, Pipeline, StructuralOptions};
+use diam::core::{EccOptions, Pipeline, StructuralOptions, USEFUL_THRESHOLD};
 use diam::netlist::{aiger, Netlist};
 use diam::transform::com::{sweep, SweepOptions};
 use diam::transform::retime::retime;
@@ -134,8 +132,8 @@ impl Options {
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut pipeline_name = "com-ret-com".to_string();
-    let mut threshold = 50u64;
+    let mut pipeline_name = Pipeline::DEFAULT_SPEC.to_string();
+    let mut threshold = USEFUL_THRESHOLD;
     let mut depth_cap = DEFAULT_DEPTH_CAP;
     let mut cube = CubeMode::Off;
     let mut portfolio = 0u64;
@@ -464,32 +462,11 @@ fn install_session(cmd: &str, opts: &Options) -> Session {
     Session::install(opts.obs.clone(), manifest)
 }
 
-/// Finishes the session: prints the summary tree in recording modes and
-/// appends a single-run baseline to the `.diam/history` store so
-/// `diam-trace history` can track CLI runs alongside `benchreport` ones.
-/// History is best-effort — a read-only checkout never fails the run.
+/// Finishes the session: prints the summary tree in recording modes.
 fn finish_session(opts: &Options, session: Session) -> Result<(), CliError> {
     let report = session.finish();
-    if opts.obs.mode.is_off() {
-        return Ok(());
-    }
-    outln!("\n{}", report.render_summary());
-    match diam_trace::Trace::parse(&report.to_jsonl()) {
-        Ok(trace) if !trace.spans.is_empty() => {
-            let store = diam_trace::History::default_root();
-            match diam_trace::Baseline::from_traces("cli", &[trace]) {
-                Ok(baseline) => match store.append(&baseline) {
-                    Ok((seq, path)) => eprintln!(
-                        "diam: history run {seq} recorded at {} (fingerprint {})",
-                        path.display(),
-                        baseline.fingerprint
-                    ),
-                    Err(e) => eprintln!("diam: history append skipped: {e}"),
-                },
-                Err(e) => eprintln!("diam: history append skipped: {e}"),
-            }
-        }
-        _ => {}
+    if !opts.obs.mode.is_off() {
+        outln!("\n{}", report.render_summary());
     }
     Ok(())
 }
