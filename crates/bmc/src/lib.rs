@@ -20,7 +20,9 @@
 //! [`prove_all`] fan out one cone-sliced job per target through it. Each
 //! counterexample it returns has been replayed on the caller's netlist, in
 //! release builds too; a witness that fails the replay becomes `Unknown`
-//! and emits a `verdict.replay_failed` event.
+//! and emits a `verdict.replay_failed` event. Random simulation's hits
+//! ([`random_search_many`]) go through the same replay, and one that fails
+//! is reported as no hit.
 //!
 //! ## Example
 //!
@@ -911,6 +913,10 @@ pub fn random_search(
 /// bits included. Once every target holds a step-0 hit nothing can improve
 /// and the remaining batches are drawn but not simulated.
 ///
+/// Each final hit is replayed once on `n`, in release builds too; a witness
+/// that fails the replay is reported as no hit and emits a
+/// `verdict.replay_failed` event.
+///
 /// Entry `k` of the result answers target `indices[k]`.
 pub fn random_search_many(
     n: &Netlist,
@@ -948,11 +954,15 @@ pub fn random_search_many(
                     .map(|&v| (v >> lane) & 1 == 1)
                     .collect(),
             };
-            debug_assert!(witness.replays_to(n, target));
             *slot = Some((t as u64, witness));
         }
     }
-    best
+    // The release-mode audit, once per final hit: a witness that does not
+    // replay is dropped, leaving its target to the later engines.
+    best.into_iter()
+        .zip(indices)
+        .map(|(hit, &index)| hit.filter(|(depth, w)| replays(n, index, w, *depth)))
+        .collect()
 }
 
 /// Outcome of a localization-based proof attempt.

@@ -9,7 +9,8 @@
 //!    shared simulation serves every target of the design
 //!    ([`random_search_many`]), so the budget is spent once per design;
 //!    each target's witness is the one a per-target
-//!    [`random_search`](crate::random_search) would return;
+//!    [`random_search`](crate::random_search) would return, replayed once
+//!    on the netlist;
 //! 2. **redundancy removal** (COM) — may collapse the target outright and
 //!    yields proven equivalences reused later as induction invariants;
 //! 3. **diameter-complete BMC** through a transformation pipeline
@@ -21,6 +22,14 @@
 //!    properties whose diameter stays unboundable but whose inductive core
 //!    is shallow;
 //! 6. otherwise the target is reported open, with its bound as diagnosis.
+//!
+//! Engine 1 runs first, on the original netlist, and nothing else is built
+//! before it. The shared work of the later engines — the sweep (engines 2
+//! and 5) and the pipeline run with its bounding pass (engine 3) — is built
+//! once, on the whole netlist, the first time a target survives to the
+//! engine that reads it. Because each is built on the whole netlist, no
+//! verdict depends on which target asked first; a design whose targets
+//! random simulation all hits never builds them at all.
 
 use crate::{
     bmc_bound, check, check_one_transformed, k_induction_with_invariants, random_search_many,
@@ -30,6 +39,7 @@ use diam_core::{Pipeline, StructuralOptions};
 use diam_netlist::sim::Witness;
 use diam_netlist::Netlist;
 use diam_transform::com::{sweep, SweepOptions};
+use std::cell::OnceCell;
 
 /// Per-target verdict of [`solve_all`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,8 +101,10 @@ pub struct StrategyOptions {
     /// Random-simulation budget, spent once per design: [`solve_all`] runs
     /// one [`random_search_many`] over all targets, which returns the same
     /// witnesses as one [`random_search`](crate::random_search) per target.
+    /// It runs before any shared work: the sweep, pipeline and bounds are
+    /// built only if some target has no hit.
     pub random: RandomSearchOptions,
-    /// Sweep options (engine 2; its invariants feed engine 4).
+    /// Sweep options (engine 2; its invariants feed engine 5).
     pub sweep: SweepOptions,
     /// The transformation pipeline for diameter bounding (engine 3).
     pub pipeline: Pipeline,
@@ -131,17 +143,19 @@ impl Default for StrategyOptions {
 
 /// Runs the portfolio on every target of `n`.
 pub fn solve_all(n: &Netlist, opts: &StrategyOptions) -> Vec<TargetStatus> {
-    // Shared work: one sweep (engine 2 evidence + engine 4 invariants), one
-    // pipeline run + bounding pass (engine 3). Keeping the pipeline result
-    // around gives engine 3 both halves of the certificate chain: the bound
-    // map (how deep to search) and the witness lifters (how to carry a
-    // transformed-netlist counterexample home).
-    let swept = sweep(n, &opts.sweep);
-    let pipelined = opts.pipeline.run(n);
-    let bounds = pipelined.bound_targets(&opts.structural);
-    // Engine 1 for every target at once: one shared random simulation.
+    // Engine 1 for every target at once: one shared random simulation of
+    // the original netlist, before anything else is built.
     let all: Vec<usize> = (0..n.targets().len()).collect();
     let hits = random_search_many(n, &all, &opts.random);
+    // Shared work for the targets engine 1 leaves open, built on the whole
+    // netlist the first time a target reaches the engine that reads it: one
+    // sweep (engine 2 evidence + engine 5 invariants), one pipeline run +
+    // bounding pass (engine 3). Keeping the pipeline result around gives
+    // engine 3 both halves of the certificate chain: the bound map (how deep
+    // to search) and the witness lifters (how to carry a transformed-netlist
+    // counterexample home).
+    let swept = OnceCell::new();
+    let pipelined = OnceCell::new();
 
     hits.into_iter()
         .enumerate()
@@ -155,10 +169,16 @@ pub fn solve_all(n: &Netlist, opts: &StrategyOptions) -> Vec<TargetStatus> {
                 };
             }
             // 2. Did the sweep collapse the target to constant false?
+            let swept = swept.get_or_init(|| sweep(n, &opts.sweep));
             let t = n.targets()[i].lit;
             if swept.lit(t) == Some(diam_netlist::Lit::FALSE) {
                 return TargetStatus::Proved { by: Engine::Com };
             }
+            let (pipelined, bounds) = pipelined.get_or_init(|| {
+                let pipelined = opts.pipeline.run(n);
+                let bounds = pipelined.bound_targets(&opts.structural);
+                (pipelined, bounds)
+            });
             // 3. Diameter-complete BMC through the transformation pipeline:
             // a clean prefix (original netlist, depths `0..p`) plus a clean
             // transformed check (depths `0..=b − 1 − p`) covers original
@@ -171,7 +191,7 @@ pub fn solve_all(n: &Netlist, opts: &StrategyOptions) -> Vec<TargetStatus> {
                     max_depth: b.saturating_sub(1),
                     ..BmcOptions::default()
                 };
-                match check_one_transformed(n, &pipelined, i, &bmc) {
+                match check_one_transformed(n, pipelined, i, &bmc) {
                     BmcOutcome::Counterexample { depth, witness } => {
                         return TargetStatus::Failed {
                             depth,

@@ -246,3 +246,138 @@ fn summary_reconciles_with_wall_time() {
     assert!(summary.contains("bound.target"), "{summary}");
     assert!(summary.contains("per-phase breakdown"), "{summary}");
 }
+
+/// The span names a session recorded, one per opened span.
+fn opened_spans(report: &obs::Report) -> Vec<&'static str> {
+    report
+        .events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::Open { name, .. } => Some(*name),
+            _ => None,
+        })
+        .collect()
+}
+
+/// `solve_all` builds the pipeline and the bounds only for targets random
+/// simulation leaves open: a design whose targets it all hits records no
+/// `pipeline.run` and no `bound.target` span; a design with unreachable
+/// targets records both, and each engine still credits the same targets.
+#[test]
+fn solve_all_skips_shared_work_once_random_simulation_decides() {
+    use diam::bmc::strategy::{solve_all, Engine, StrategyOptions, TargetStatus};
+    use diam::gen::archetypes::{pipeline_from, token_ring};
+    use diam::netlist::{Gate, Init, Lit, Netlist};
+
+    // Every target is a pipeline stage: random simulation hits them all.
+    let mut easy = Netlist::new();
+    let i = easy.input("i").lit();
+    let mut prev = i;
+    for k in 0..3 {
+        let r = easy.reg(format!("s{k}"), Init::Zero);
+        easy.set_next(r, prev);
+        prev = r.lit();
+        easy.add_target(prev, format!("stage{k}"));
+    }
+    let session = json_session("test-solve-skip");
+    let statuses = solve_all(&easy, &StrategyOptions::default());
+    let report = session.finish();
+    for (k, s) in statuses.iter().enumerate() {
+        assert!(
+            matches!(
+                s,
+                TargetStatus::Failed {
+                    by: Engine::RandomSim,
+                    ..
+                }
+            ),
+            "target {k}: {s:?}"
+        );
+    }
+    let spans = opened_spans(&report);
+    for name in ["pipeline.run", "bound.target"] {
+        assert!(!spans.contains(&name), "{name} recorded: {spans:?}");
+    }
+
+    // `strategy.rs`'s mixed design: one easy hit, one lock-step
+    // disagreement only COM proves unreachable, and a mod-6 counter overflow
+    // behind a pipeline, which the sweep may close too. Two tokens on a ring
+    // behind a delayed step are unreachable beyond the sweep's reach, so
+    // one target always gets to the diameter-complete check.
+    let mut mixed = Netlist::new();
+    let i = mixed.input("i").lit();
+    let r = mixed.reg("easy", Init::Zero);
+    mixed.set_next(r, i);
+    mixed.add_target(r.lit(), "easy_hit");
+    let a = mixed.reg("a", Init::Zero);
+    let b = mixed.reg("b", Init::Zero);
+    let e = mixed.input("e").lit();
+    let na = mixed.and(i, e);
+    let nb = mixed.mux(e, i, Lit::FALSE);
+    mixed.set_next(a, na);
+    mixed.set_next(b, nb);
+    let differ = mixed.xor(a.lit(), b.lit());
+    mixed.add_target(differ, "lockstep");
+    let mut en = i;
+    for k in 0..4 {
+        let p = mixed.reg(format!("p{k}"), Init::Zero);
+        mixed.set_next(p, en);
+        en = p.lit();
+    }
+    let bits: Vec<Gate> = (0..3)
+        .map(|k| mixed.reg(format!("c{k}"), Init::Zero))
+        .collect();
+    let at_five = {
+        let hi = mixed.and(bits[2].lit(), !bits[1].lit());
+        mixed.and(hi, bits[0].lit())
+    };
+    let clear = mixed.and(en, at_five);
+    let mut carry = mixed.and(en, !at_five);
+    for r in &bits {
+        let inc = mixed.xor(r.lit(), carry);
+        carry = mixed.and(r.lit(), carry);
+        let nx = mixed.and(inc, !clear);
+        mixed.set_next(*r, nx);
+    }
+    let overflow = {
+        let lo_hi = mixed.and(bits[0].lit(), bits[2].lit());
+        mixed.and(lo_hi, bits[1].lit())
+    };
+    mixed.add_target(overflow, "overflow");
+    let step = mixed.input("step").lit();
+    let delayed = pipeline_from(&mut mixed, "step_p", step, 2)[1].lit();
+    let ring = token_ring(&mut mixed, "ring", 6, delayed);
+    let two = mixed.and(ring[1].lit(), ring[4].lit());
+    mixed.add_target(two, "ring_two_tokens");
+
+    let session = json_session("test-solve-mixed");
+    let statuses = solve_all(&mixed, &StrategyOptions::default());
+    let report = session.finish();
+    assert!(
+        matches!(
+            statuses[0],
+            TargetStatus::Failed {
+                by: Engine::RandomSim,
+                ..
+            }
+        ),
+        "target 0: {:?}",
+        statuses[0]
+    );
+    assert_eq!(statuses[1], TargetStatus::Proved { by: Engine::Com });
+    assert!(
+        matches!(statuses[2], TargetStatus::Proved { .. }),
+        "target 2: {:?}",
+        statuses[2]
+    );
+    assert_eq!(
+        statuses[3],
+        TargetStatus::Proved {
+            by: Engine::DiameterBmc
+        }
+    );
+    let spans = opened_spans(&report);
+    for name in ["pipeline.run", "bound.target"] {
+        assert!(spans.contains(&name), "{name} missing: {spans:?}");
+    }
+}
